@@ -262,13 +262,17 @@ void bench_entry(int argc, char** argv, const std::string& bench_name,
   print_header(bench_name, what);
 }
 
-void print_header(const std::string& bench_name, const std::string& what) {
+void print_banner(const std::string& bench_name, const std::string& what) {
   const SystemInfo info = query_system_info();
   std::printf("==== %s ====\n", bench_name.c_str());
   std::printf("reproduces: %s\n", what.c_str());
   std::printf("substrate : %s, %d logical CPUs, OpenMP max threads %d\n",
               info.cpu_model.c_str(), info.logical_cpus,
               info.openmp_max_threads);
+}
+
+void print_header(const std::string& bench_name, const std::string& what) {
+  print_banner(bench_name, what);
   const std::string threads =
       thread_override() > 0 ? std::to_string(thread_override()) : "default";
   std::printf(

@@ -145,6 +145,11 @@ Matching make_initial_matching(const BipartiteGraph& g);
 /// workload scale) so every output file is self-describing.
 void print_header(const std::string& bench_name, const std::string& what);
 
+/// The header's lines up to the substrate. print_header() adds the
+/// workload line from the bench environment; a bench whose solves do
+/// not read that environment prints its own workload line instead.
+void print_banner(const std::string& bench_name, const std::string& what);
+
 /// A generated suite instance, cached with its stats.
 struct Workload {
   std::string name;

@@ -46,6 +46,10 @@ using graftmatch::serve::MatchServer;
 using graftmatch::serve::ServerCounters;
 using graftmatch::serve::ServerOptions;
 
+/// OpenMP width of every request's solve (the server's per-request
+/// default; requests leave `threads` unset).
+constexpr int kSolverThreads = 1;
+
 int env_int(const char* name, int fallback) {
   if (const char* env = std::getenv(name)) {
     const int parsed = std::atoi(env);
@@ -86,7 +90,7 @@ LevelResult run_level(const GraphRoster& roster, std::size_t graph_index,
                       std::size_t batch_max, std::int64_t window_us) {
   ServerOptions options;
   options.workers = workers;
-  options.solver_threads = 1;
+  options.solver_threads = kSolverThreads;
   options.queue_capacity = static_cast<std::size_t>(clients) * 4 + 8;
   options.batch_max = batch_max;
   options.batch_window_us = window_us;
@@ -159,10 +163,20 @@ LevelResult run_level(const GraphRoster& roster, std::size_t graph_index,
 
 int main(int argc, char** argv) {
   using namespace graftmatch;
-  bench::bench_entry(argc, argv, "bench_serve",
-                     "matching-as-a-service throughput/latency: closed-loop "
-                     "clients against an in-process MatchServer, batched "
-                     "coalescing vs one-solve-per-request");
+  bench::apply_cli_overrides(argc, argv);
+  bench::print_banner("bench_serve",
+                      "matching-as-a-service throughput/latency: closed-loop "
+                      "clients against an in-process MatchServer, batched "
+                      "coalescing vs one-solve-per-request");
+  // Every request carries the protocol's solve settings, not the bench
+  // environment's, and runs on one server thread.
+  const MatchRequest request;
+  std::cout << "workload  : size factor " << bench::size_factor()
+            << ", seed " << bench::seed() << ", solver " << request.solver
+            << ", initializer " << request.initializer << ", threads "
+            << kSolverThreads << ", reduce " << request.reduce << ", shard "
+            << request.shard << ", dirsel " << request.dirsel << ", kernel "
+            << request.kernel << "\n\n";
 
   // A small, shape-diverse roster; the serving point is many solves
   // over a fixed graph set, not one big solve.

@@ -108,6 +108,25 @@ Matching make_initial(const std::string& init, const BipartiteGraph& g,
   }
 }
 
+// A generator name the suite lacks (std::out_of_range) and a missing or
+// malformed Matrix Market file (std::runtime_error) are bad input like
+// a bad flag: report the loader's message and exit 2.
+BipartiteGraph load_graph(const std::string& mtx_path,
+                          const std::string& gen_name, double size,
+                          std::uint64_t seed) {
+  try {
+    if (!mtx_path.empty()) {
+      return BipartiteGraph::from_edges(read_matrix_market_file(mtx_path));
+    }
+    return suite_instance(gen_name).factory(size, seed);
+  } catch (const std::out_of_range& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+  }
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -238,12 +257,7 @@ int main(int argc, char** argv) {
     session.trace().arm();
   }
 
-  BipartiteGraph graph;
-  if (!mtx_path.empty()) {
-    graph = BipartiteGraph::from_edges(read_matrix_market_file(mtx_path));
-  } else {
-    graph = suite_instance(gen_name).factory(size, seed);
-  }
+  const BipartiteGraph graph = load_graph(mtx_path, gen_name, size, seed);
   std::printf("graph: %s\n",
               format_graph_stats(compute_graph_stats(graph)).c_str());
 

@@ -258,6 +258,8 @@ std::string run_stats_json(const RunStats& stats) {
         << ",\"reaugment_searches\":" << d.reaugment_searches
         << ",\"reaugment_paths\":" << d.reaugment_paths
         << ",\"sweep_rounds\":" << d.sweep_rounds
+        << ",\"budget_aborts\":" << d.budget_aborts
+        << ",\"proof_side\":\"" << d.proof_side << '"'
         << ",\"resolves\":" << d.resolves
         << ",\"compactions\":" << d.compactions
         << ",\"overlay_peak\":" << d.overlay_peak << ",\"apply_seconds\":";

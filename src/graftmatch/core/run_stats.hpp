@@ -299,10 +299,14 @@ struct DynamicCounters {
   std::int64_t direct_matches = 0;    ///< both-endpoints-free fast path
   std::int64_t reaugment_searches = 0;  ///< localized BFS launched
   std::int64_t reaugment_paths = 0;     ///< augmenting paths applied
-  std::int64_t sweep_rounds = 0;   ///< all-free-X sweeps after inserts
+  std::int64_t sweep_rounds = 0;   ///< proof-side sweep rounds (inserts
+                                   ///< and repairs that stop short of k)
+  std::int64_t budget_aborts = 0;  ///< other-side repair searches cut
+                                   ///< off by the deletion budget
   std::int64_t resolves = 0;       ///< staleness-triggered full re-solves
   std::int64_t compactions = 0;    ///< overlay folded back into CSR
   std::int64_t overlay_peak = 0;   ///< max overlay cost() observed
+  char proof_side = 'x';  ///< side whose sweeps prove maximality, 'x'/'y'
   double apply_seconds = 0.0;      ///< overlay mutation (both batch kinds)
   double reaugment_seconds = 0.0;  ///< localized searches + sweeps
   double compact_seconds = 0.0;    ///< payoff-gated compactions

@@ -1,6 +1,7 @@
 #include "graftmatch/dynamic/dynamic_matcher.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +12,96 @@
 #include "graftmatch/verify/validate.hpp"
 
 namespace graftmatch::dynamic {
+namespace {
+
+constexpr Side opposite(Side s) { return s == Side::kX ? Side::kY : Side::kX; }
+constexpr std::size_t index(Side s) { return static_cast<std::size_t>(s); }
+constexpr std::int64_t kUnlimited = std::numeric_limits<std::int64_t>::max();
+
+template <Side S>
+vid_t side_size(const GraphOverlay& g) {
+  if constexpr (S == Side::kX) return g.num_x();
+  else return g.num_y();
+}
+
+template <Side S>
+vid_t mate(const Matching& m, vid_t v) {
+  if constexpr (S == Side::kX) return m.mate_of_x(v);
+  else return m.mate_of_y(v);
+}
+
+template <Side S, class Fn>
+void for_each_neighbor(const GraphOverlay& g, vid_t v, Fn&& fn) {
+  if constexpr (S == Side::kX) g.for_each_neighbor_x(v, fn);
+  else g.for_each_neighbor_y(v, fn);
+}
+
+/// Match u (side S) with v (the other side, free); u's old mate is
+/// left free.
+template <Side S>
+void rematch(Matching& m, vid_t u, vid_t v) {
+  if constexpr (S == Side::kX) {
+    m.unmatch_x(u);
+    m.match(u, v);
+  } else {
+    const vid_t x = m.mate_of_y(u);
+    if (x != kInvalidVertex) m.unmatch_x(x);
+    m.match(v, u);
+  }
+}
+
+/// The Koenig region of side S -- one multi-source alternating walk
+/// from every free S vertex -- advanced in bounded steps, so that two
+/// walks can run in lockstep.
+template <Side S>
+class RegionWalk {
+ public:
+  RegionWalk(const GraphOverlay& g, const Matching& m, EpochStamps& own,
+             EpochStamps& other, std::vector<vid_t>& queue)
+      : g_(g), m_(m), own_(own), other_(other), queue_(queue) {
+    queue_.clear();
+    for (vid_t u = 0; u < side_size<S>(g_); ++u) {
+      if (mate<S>(m_, u) != kInvalidVertex) continue;
+      own_.stamp(static_cast<std::size_t>(u));
+      queue_.push_back(u);
+    }
+  }
+
+  /// Scans adjacency entries until edges() reaches `target` or the
+  /// region is exhausted; returns true once it is.
+  bool advance(std::int64_t target) {
+    constexpr Side T = opposite(S);
+    while (edges_ < target && head_ < queue_.size()) {
+      for_each_neighbor<S>(g_, queue_[head_++], [&](vid_t v) {
+        ++edges_;
+        const auto vi = static_cast<std::size_t>(v);
+        if (other_.valid(vi)) return true;
+        other_.stamp(vi);
+        const vid_t next = mate<T>(m_, v);
+        if (next != kInvalidVertex &&
+            !own_.valid(static_cast<std::size_t>(next))) {
+          own_.stamp(static_cast<std::size_t>(next));
+          queue_.push_back(next);
+        }
+        return true;
+      });
+    }
+    return head_ == queue_.size();
+  }
+
+  std::int64_t edges() const { return edges_; }
+
+ private:
+  const GraphOverlay& g_;
+  const Matching& m_;
+  EpochStamps& own_;
+  EpochStamps& other_;
+  std::vector<vid_t>& queue_;
+  std::size_t head_ = 0;
+  std::int64_t edges_ = 0;
+};
+
+}  // namespace
 
 DynamicMatcher::DynamicMatcher(SessionContext& session, BipartiteGraph base,
                                DynamicConfig config)
@@ -18,12 +109,12 @@ DynamicMatcher::DynamicMatcher(SessionContext& session, BipartiteGraph base,
       config_(std::move(config)),
       overlay_(std::move(base)),
       matching_(overlay_.num_x(), overlay_.num_y()) {
-  visited_x_.reset(static_cast<std::size_t>(overlay_.num_x()));
-  visited_y_.reset(static_cast<std::size_t>(overlay_.num_y()));
-  parent_y_.assign(static_cast<std::size_t>(overlay_.num_y()),
-                   kInvalidVertex);
-  parent_x_.assign(static_cast<std::size_t>(overlay_.num_x()),
-                   kInvalidVertex);
+  for (const Side side : {Side::kX, Side::kY}) {
+    const auto n = static_cast<std::size_t>(
+        side == Side::kX ? overlay_.num_x() : overlay_.num_y());
+    visited_[index(side)].reset(n);
+    parent_[index(side)].assign(n, kInvalidVertex);
+  }
   queue_.reserve(static_cast<std::size_t>(
       std::max(overlay_.num_x(), overlay_.num_y())));
   // The initial solve. Not counted as a staleness re-solve: the
@@ -33,6 +124,7 @@ DynamicMatcher::DynamicMatcher(SessionContext& session, BipartiteGraph base,
               overlay_.base(), matching_, config_.run);
   cardinality_ = matching_.cardinality();
   edges_at_resolve_ = overlay_.live_edges();
+  choose_proof_side();
   if (config_.check_invariants) audit();
 }
 
@@ -42,6 +134,7 @@ std::int64_t DynamicMatcher::add_edges(std::span<const Edge> batch) {
   obs::emit_begin(obs::names::kDynamicApply,
                   static_cast<std::int64_t>(batch.size()), cardinality_);
   std::int64_t inserted = 0;
+  std::int64_t direct = 0;
   for (const Edge& e : batch) {
     if (!overlay_.insert(e.x, e.y)) continue;
     ++inserted;
@@ -50,17 +143,19 @@ std::int64_t DynamicMatcher::add_edges(std::span<const Edge> batch) {
     if (!matching_.is_matched_x(e.x) && !matching_.is_matched_y(e.y)) {
       matching_.match(e.x, e.y);
       ++cardinality_;
-      ++counters_.direct_matches;
+      ++direct;
     }
   }
   counters_.batches += 1;
   counters_.edges_added += inserted;
+  counters_.direct_matches += direct;
   churn_since_resolve_ += inserted;
   if (inserted > 0) {
     if (staleness_tripped()) {
       full_resolve();
-    } else {
-      sweep_to_maximum();
+    } else if (inserted > direct) {
+      // Each inserted edge raises the maximum by at most one.
+      sweep_from_proof_side(inserted - direct);
       if (config_.staleness_failure_streak > 0 &&
           failure_streak_ >= config_.staleness_failure_streak) {
         full_resolve();
@@ -103,47 +198,27 @@ std::int64_t DynamicMatcher::remove_edges(std::span<const Edge> batch) {
     full_resolve();
   } else if (!freed_x.empty()) {
     const auto freed = static_cast<std::int64_t>(freed_x.size());
-    std::int64_t paths = 0;
+    Repair repaired;
     {
       const Timer repair_timer;
+      const std::int64_t searches_before = counters_.reaugment_searches;
       obs::emit_begin(obs::names::kDynamicReaugment, freed);
-      // One search per freed root, each against the current matching; a
-      // root re-matched by an earlier repair path needs no search, and
-      // a failed root stays failed (persistence). Consecutive failures
-      // retain their trees (valid across sides: a dead tree is dead
-      // for every root); each success invalidates the retained forest.
-      bool fresh = true;
-      for (const vid_t x : freed_x) {
-        if (matching_.is_matched_x(x)) continue;
-        const bool found = augment_from_x(x, fresh);
-        note_search(found);
-        fresh = found;
-        paths += found;
-      }
-      for (const vid_t y : freed_y) {
-        if (matching_.is_matched_y(y)) continue;
-        const bool found = augment_from_y(y, fresh);
-        note_search(found);
-        fresh = found;
-        paths += found;
-      }
+      repaired = proof_side_ == Side::kX ? repair<Side::kX>(freed_x, freed_y)
+                                         : repair<Side::kY>(freed_y, freed_x);
       obs::emit_end(obs::names::kDynamicReaugment,
-                    static_cast<std::int64_t>(freed_x.size() +
-                                              freed_y.size()),
-                    paths);
+                    counters_.reaugment_searches - searches_before,
+                    repaired.paths);
       counters_.reaugment_seconds += repair_timer.elapsed();
     }
-    // p == 0 proves maximality (the matching is untouched, so every
-    // residual augmenting path would still have a newly-freed endpoint,
-    // and every such root was searched and failed). p == k proves it by
-    // counting (|M| is back to the pre-batch value, an upper bound on
-    // the shrunken graph's maximum). In between, a repair path may have
-    // consumed the newly-freed endpoint of a DIFFERENT deficiency path,
-    // leaving an augmenting path between two old-free vertices that no
-    // freed root can see -- only the global sweep proves maximality
-    // there.
-    if (paths > 0 && paths < freed) {
-      sweep_to_maximum();
+    // p == k proved maximality by counting, and p == 0 with every freed
+    // root searched proves it by persistence. Otherwise a repair path
+    // may have consumed the newly-freed endpoint of a DIFFERENT
+    // deficiency path (0 < p < k), or a root went unsearched (the
+    // budget ran out): only the sweep from the proof side proves
+    // maximality there.
+    if (repaired.aborted ||
+        (repaired.paths > 0 && repaired.paths < freed)) {
+      sweep_from_proof_side(freed - repaired.paths);
     }
     if (config_.staleness_failure_streak > 0 &&
         failure_streak_ >= config_.staleness_failure_streak) {
@@ -158,131 +233,181 @@ std::int64_t DynamicMatcher::remove_edges(std::span<const Edge> batch) {
   return erased;
 }
 
-bool DynamicMatcher::augment_from_x(vid_t root, bool fresh_marks) {
+template <Side S>
+DynamicMatcher::Search DynamicMatcher::augment(vid_t root, bool fresh_marks,
+                                               std::int64_t& budget) {
+  constexpr Side T = opposite(S);
+  EpochStamps& own = visited_[index(S)];
+  EpochStamps& other = visited_[index(T)];
+  std::vector<vid_t>& parent = parent_[index(T)];
   ++counters_.reaugment_searches;
   if (fresh_marks) {
-    visited_x_.bump();
-    visited_y_.bump();
+    own.bump();
+    other.bump();
   }
   queue_.clear();
   queue_.push_back(root);
-  visited_x_.stamp(static_cast<std::size_t>(root));
+  own.stamp(static_cast<std::size_t>(root));
+  std::int64_t left = budget;  // a local the scan loop can keep in a register
   for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const vid_t x = queue_[head];
+    const vid_t u = queue_[head];
     vid_t found = kInvalidVertex;
-    overlay_.for_each_neighbor_x(x, [&](vid_t y) {
-      const auto yi = static_cast<std::size_t>(y);
-      if (visited_y_.valid(yi)) return true;
-      visited_y_.stamp(yi);
-      parent_y_[yi] = x;
-      if (!matching_.is_matched_y(y)) {
-        found = y;
-        return false;  // free Y: augmenting path complete
+    for_each_neighbor<S>(overlay_, u, [&](vid_t v) {
+      --left;
+      const auto vi = static_cast<std::size_t>(v);
+      if (other.valid(vi)) return true;
+      other.stamp(vi);
+      parent[vi] = u;
+      const vid_t next = mate<T>(matching_, v);
+      if (next == kInvalidVertex) {
+        found = v;
+        return false;  // free vertex: augmenting path complete
       }
-      const vid_t next = matching_.mate_of_y(y);
-      if (!visited_x_.valid(static_cast<std::size_t>(next))) {
-        visited_x_.stamp(static_cast<std::size_t>(next));
+      if (!own.valid(static_cast<std::size_t>(next))) {
+        own.stamp(static_cast<std::size_t>(next));
         queue_.push_back(next);
       }
       return true;
     });
     if (found != kInvalidVertex) {
       // Flip the path by walking the parent chain back to the root.
-      vid_t y = found;
-      while (y != kInvalidVertex) {
-        const vid_t px = parent_y_[static_cast<std::size_t>(y)];
-        const vid_t next = matching_.mate_of_x(px);
-        matching_.unmatch_x(px);
-        matching_.match(px, y);
-        y = next;
+      for (vid_t v = found; v != kInvalidVertex;) {
+        const vid_t pu = parent[static_cast<std::size_t>(v)];
+        const vid_t next = mate<S>(matching_, pu);
+        rematch<S>(matching_, pu, v);
+        v = next;
       }
       ++cardinality_;
       ++counters_.reaugment_paths;
-      return true;
+      budget = left;
+      return Search::kFound;
+    }
+    if (left < 0) {
+      // A half-grown tree proves nothing: drop it with the retained ones.
+      own.bump();
+      other.bump();
+      budget = left;
+      return Search::kAborted;
     }
   }
-  return false;
+  budget = left;
+  return Search::kFailed;
 }
 
-bool DynamicMatcher::augment_from_y(vid_t root, bool fresh_marks) {
-  ++counters_.reaugment_searches;
-  if (fresh_marks) {
-    visited_x_.bump();
-    visited_y_.bump();
+template <Side S>
+DynamicMatcher::Repair DynamicMatcher::repair(
+    std::span<const vid_t> own_roots, std::span<const vid_t> other_roots) {
+  constexpr Side T = opposite(S);
+  const auto freed = static_cast<std::int64_t>(own_roots.size());
+  Repair result;
+  // One search per freed root, each against the current matching; a
+  // root re-matched by an earlier repair path needs no search, and a
+  // failed root stays failed (persistence). Consecutive failures
+  // retain their trees (valid across sides: a dead tree is dead for
+  // every root); each success invalidates the retained forest.
+  bool fresh = true;
+  std::int64_t unlimited = kUnlimited;
+  for (const vid_t r : own_roots) {
+    if (result.paths == freed) return result;
+    if (mate<S>(matching_, r) != kInvalidVertex) continue;
+    const bool found = augment<S>(r, fresh, unlimited) == Search::kFound;
+    note_search(found);
+    fresh = found;
+    result.paths += found;
   }
-  queue_.clear();
-  queue_.push_back(root);
-  visited_y_.stamp(static_cast<std::size_t>(root));
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const vid_t y = queue_[head];
-    vid_t found = kInvalidVertex;
-    overlay_.for_each_neighbor_y(y, [&](vid_t x) {
-      const auto xi = static_cast<std::size_t>(x);
-      if (visited_x_.valid(xi)) return true;
-      visited_x_.stamp(xi);
-      parent_x_[xi] = y;
-      if (!matching_.is_matched_x(x)) {
-        found = x;
-        return false;  // free X: augmenting path complete
-      }
-      const vid_t next = matching_.mate_of_x(x);
-      if (!visited_y_.valid(static_cast<std::size_t>(next))) {
-        visited_y_.stamp(static_cast<std::size_t>(next));
-        queue_.push_back(next);
-      }
-      return true;
-    });
-    if (found != kInvalidVertex) {
-      vid_t x = found;
-      while (x != kInvalidVertex) {
-        const vid_t py = parent_x_[static_cast<std::size_t>(x)];
-        const vid_t next = matching_.mate_of_y(py);
-        if (next != kInvalidVertex) matching_.unmatch_x(next);
-        matching_.match(x, py);
-        x = next;
-      }
-      ++cardinality_;
-      ++counters_.reaugment_paths;
-      return true;
+  std::int64_t budget = proof_edges_;
+  for (const vid_t r : other_roots) {
+    if (result.paths == freed) return result;
+    if (mate<T>(matching_, r) != kInvalidVertex) continue;
+    const Search outcome = augment<T>(r, fresh, budget);
+    if (outcome == Search::kAborted) {
+      ++counters_.budget_aborts;
+      result.aborted = true;
+      return result;
     }
+    const bool found = outcome == Search::kFound;
+    note_search(found);
+    fresh = found;
+    result.paths += found;
   }
-  return false;
+  return result;
 }
 
-void DynamicMatcher::sweep_to_maximum() {
+template <Side S>
+void DynamicMatcher::sweep_to_maximum(std::int64_t bound) {
+  constexpr Side T = opposite(S);
   const Timer sweep_timer;
   obs::emit_begin(obs::names::kDynamicReaugment);
   std::int64_t searches = 0;
   std::int64_t paths = 0;
-  // Augmenting never frees a vertex, so a round with zero paths found
-  // proves maximality (every free X was searched and failed). The
+  std::int64_t unlimited = kUnlimited;
+  // `bound` more paths would bring |M| to an upper bound of the maximum,
+  // so the sweep stops there (the counting proof). Otherwise augmenting
+  // never frees a vertex, so a round with zero paths found proves
+  // maximality (every free S vertex was searched and failed). The
   // persistence argument makes round 2 that proof round in practice.
-  // Within a round, consecutive failed searches retain their trees
-  // (see the class comment), so a failure-dominated round -- the norm
-  // on heavily deficient graphs -- costs one O(m) pass total.
+  // Within a round, consecutive failed searches retain their trees (see
+  // the class comment), so a failure-dominated round -- the norm on
+  // heavily deficient graphs -- costs one walk of the region.
   for (;;) {
     ++counters_.sweep_rounds;
     std::int64_t found = 0;
-    bool any_free_y = false;
-    for (vid_t y = 0; y < overlay_.num_y() && !any_free_y; ++y) {
-      any_free_y = !matching_.is_matched_y(y);
+    bool any_free_other = false;
+    for (vid_t v = 0; v < side_size<T>(overlay_) && !any_free_other; ++v) {
+      any_free_other = mate<T>(matching_, v) == kInvalidVertex;
     }
-    if (any_free_y) {
+    if (any_free_other) {
       bool fresh = true;
-      for (vid_t x = 0; x < overlay_.num_x(); ++x) {
-        if (matching_.is_matched_x(x)) continue;
+      for (vid_t u = 0; u < side_size<S>(overlay_) && paths + found < bound;
+           ++u) {
+        if (mate<S>(matching_, u) != kInvalidVertex) continue;
         ++searches;
-        const bool ok = augment_from_x(x, fresh);
+        const bool ok = augment<S>(u, fresh, unlimited) == Search::kFound;
         note_search(ok);
         fresh = ok;
         found += ok;
       }
     }
-    if (found == 0) break;
     paths += found;
+    if (found == 0 || paths == bound) break;
   }
   obs::emit_end(obs::names::kDynamicReaugment, searches, paths);
   counters_.reaugment_seconds += sweep_timer.elapsed();
+}
+
+void DynamicMatcher::sweep_from_proof_side(std::int64_t bound) {
+  if (proof_side_ == Side::kX) {
+    sweep_to_maximum<Side::kX>(bound);
+  } else {
+    sweep_to_maximum<Side::kY>(bound);
+  }
+}
+
+void DynamicMatcher::choose_proof_side() {
+  // The walks share one epoch of the visited stamps: from a maximum
+  // matching the two regions are disjoint (a vertex in both would close
+  // an augmenting path), so neither walk meets the other's marks.
+  visited_[index(Side::kX)].bump();
+  visited_[index(Side::kY)].bump();
+  std::vector<vid_t> y_queue;
+  RegionWalk<Side::kX> x(overlay_, matching_, visited_[index(Side::kX)],
+                         visited_[index(Side::kY)], queue_);
+  RegionWalk<Side::kY> y(overlay_, matching_, visited_[index(Side::kY)],
+                         visited_[index(Side::kX)], y_queue);
+  // Both walks advance to the same edge count each turn, so the first
+  // to run out is the smaller region, found for about twice its cost.
+  constexpr std::int64_t kTurnEdges = 4096;
+  for (std::int64_t target = kTurnEdges;; target += kTurnEdges) {
+    const bool x_done = x.advance(target);
+    const bool y_done = y.advance(target);
+    if (x_done || y_done) {
+      const bool y_smaller = !x_done || y.edges() < x.edges();
+      proof_side_ = y_done && y_smaller ? Side::kY : Side::kX;
+      proof_edges_ = proof_side_ == Side::kX ? x.edges() : y.edges();
+      break;
+    }
+  }
+  counters_.proof_side = proof_side_ == Side::kX ? 'x' : 'y';
 }
 
 void DynamicMatcher::note_search(bool found_path) {
@@ -317,6 +442,7 @@ void DynamicMatcher::full_resolve() {
   churn_since_resolve_ = 0;
   edges_at_resolve_ = overlay_.live_edges();
   failure_streak_ = 0;
+  choose_proof_side();
   ++counters_.resolves;
   counters_.resolve_seconds += resolve_timer.elapsed();
 }

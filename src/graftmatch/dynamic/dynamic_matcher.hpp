@@ -5,24 +5,54 @@
 // remove_edges() batches by localized re-augmentation instead of
 // re-solving from scratch:
 //
+//  * The proof side. A sweep that searches from every free vertex of
+//    ONE side and finds nothing is a complete Berge proof: every
+//    augmenting path has one free endpoint on each side. Its failing
+//    round costs one walk of that side's Koenig region -- everything
+//    alternating-reachable from the side's free vertices (the vertical
+//    and horizontal parts of the paper's Sec. I Dulmage-Mendelsohn
+//    split). The regions can differ by orders of magnitude: on
+//    cit-patents-like graphs the free-Y walk scans about 180x the
+//    edges of the free-X walk, and on amazon-, copapers- and
+//    wb-edu-like graphs the free-Y region is the smaller one. So at
+//    construction and after every full re-solve the matcher walks both
+//    regions in lockstep, the same number of edges per turn, and fixes
+//    the PROOF SIDE s as the one exhausted first -- the smaller region,
+//    found for about twice its cost (ties go to X). Every proof below
+//    sweeps from s.
+//
 //  * Deletions. Removing an unmatched edge cannot break maximality
 //    (shrinking the edge set never creates augmenting paths). Removing
 //    k matched edges frees k endpoint pairs; every augmenting path of
 //    the shrunken graph w.r.t. the SHRUNKEN matching must end at a
 //    newly-freed vertex -- a path avoiding all of them would alternate
 //    identically w.r.t. the old matching and contradict its maximality.
-//    So repair starts as one alternating BFS per newly-freed X and per
-//    newly-freed Y. If those searches recover p paths, p == 0 proves
-//    maximality directly (the matching never changed, and every root
-//    the theorem points at was searched and failed -- failed searches
-//    persist across other augmentations), and p == k proves it by
-//    counting (|M| is back at the pre-batch value, an upper bound on
-//    the shrunken maximum). For 0 < p < k the theorem no longer
-//    applies to the REPAIRED matching: a repair path can terminate at
-//    the newly-freed endpoint of a different deficiency path, leaving
-//    an augmenting path whose endpoints are both old-free -- invisible
-//    from every freed root (the differential battery caught exactly
-//    this). That remainder falls back to the insertion sweep below.
+//    Repair finds p <= k paths in up to three steps, and stops the
+//    moment p == k: |M| is then back at the pre-batch value, an upper
+//    bound on the shrunken maximum (the counting proof).
+//     1. One alternating BFS per newly-freed root on side s.
+//     2. If p < k, one BFS per newly-freed root on the other side,
+//        sharing a budget of |region_s| scanned edges: together they
+//        may cost what the proof sweep would. A search that exhausts it drops its
+//        partial marks (an epoch bump: a half-grown tree proves
+//        nothing) and ends the step; it is not a failure.
+//     3. A sweep from s, when 0 < p < k or the budget ran out, which
+//        also stops once p == k.
+//    With p == 0 and every freed root searched, the matching never
+//    changed and every root the theorem points at failed (failed
+//    searches persist), which proves maximality with no sweep. For
+//    0 < p < k the theorem no longer applies to the REPAIRED
+//    matching: a repair path can terminate at the newly-freed
+//    endpoint of a different deficiency path, leaving an augmenting
+//    path whose endpoints are both old-free -- invisible from every
+//    freed root (the differential battery caught exactly this). The
+//    sweep from s is the proof there. Step 2 exists because the
+//    missing path often runs from an old free s-vertex to a freed
+//    other-side root and is found near that root, while the sweep
+//    walks all of region_s (without it, bench_churn's wikipedia-like
+//    instance ran about 1.3x slower); the budget keeps it from
+//    walking the larger region where such paths are rare
+//    (cit-patents-like). docs/DYNAMIC.md has the measurements.
 //
 //  * Insertions. A new augmenting path must cross an inserted edge,
 //    but it may START anywhere: an inserted edge with both endpoints
@@ -30,12 +60,15 @@
 //    x0, y3 free), so seeding only from the new edges' endpoints would
 //    MISS paths and silently surrender maximality. The matcher first
 //    fast-path-matches inserted edges whose endpoints are both free,
-//    then runs multi-source alternating sweeps from EVERY free X until
-//    a sweep finds nothing -- the empty sweep is the maximality proof.
-//    This is one MS-BFS phase shape, without the initializer and from
-//    a matching at most |batch| below maximum, which is what makes it
-//    cheaper than a full re-solve for small batches (bench_churn
-//    measures the crossover).
+//    then sweeps from every free vertex of side s until a round finds
+//    nothing -- the empty round is the maximality proof -- or until
+//    each inserted edge not matched directly has added a path (each
+//    insert raises the maximum by at most one; when every inserted
+//    edge was matched directly, no sweep runs). This is one
+//    MS-BFS phase shape, without the initializer and from a matching
+//    at most |batch| below maximum, which is what makes it cheaper
+//    than a full re-solve for small batches (bench_churn measures the
+//    crossover).
 //
 //  * Failed-tree retention. Searches share visited stamps across
 //    consecutive FAILURES: while the matching is unchanged, no
@@ -45,7 +78,7 @@
 //    it, so a path's last tree vertex could not leave (the same
 //    argument ss_bfs relies on). Later searches prune at the retained
 //    frontier, bounding a whole failure-dominated sweep round by one
-//    O(m) pass instead of O(freeX * m); stamps are re-bumped only
+//    walk of region_s instead of O(free * m); stamps are re-bumped only
 //    after a successful augmentation invalidates the forest. On
 //    heavily deficient graphs (web crawls, RMAT) this is the
 //    difference between incremental repair beating and losing to the
@@ -87,6 +120,10 @@
 #include "graftmatch/runtime/epoch_array.hpp"
 
 namespace graftmatch::dynamic {
+
+/// A side of the bipartition. Searches are templated on their root's
+/// side, so the side costs nothing inside the O(n) and O(m) loops.
+enum class Side : int { kX = 0, kY = 1 };
 
 struct DynamicConfig {
   /// Registry keys for the initial solve and staleness re-solves.
@@ -154,17 +191,33 @@ class DynamicMatcher {
   RunStats stats() const;
 
  private:
-  void bind_and_apply(std::span<const Edge> batch, bool insert);
-  /// One alternating BFS from a free X (or free Y) root; applies the
-  /// augmenting path when found. Returns true on success.
+  enum class Search { kFailed, kFound, kAborted };
+  struct Repair {
+    std::int64_t paths = 0;
+    bool aborted = false;  ///< the other-side budget ran out
+  };
+
+  /// One alternating BFS from a free vertex of side S; applies the
+  /// augmenting path when found. Each scanned edge spends one unit of
+  /// `budget`; past zero the search drops every mark and aborts.
   // `fresh_marks` bumps the visited epochs before the search; pass
   // false to retain the failed trees of previous searches (sound only
   // while the matching is unchanged since those failures -- see the
   // failed-tree-retention note in the class comment).
-  bool augment_from_x(vid_t root, bool fresh_marks = true);
-  bool augment_from_y(vid_t root, bool fresh_marks = true);
-  /// Repeated all-free-X sweeps until one finds nothing.
-  void sweep_to_maximum();
+  template <Side S>
+  Search augment(vid_t root, bool fresh_marks, std::int64_t& budget);
+  /// Steps 1-2 of deletion repair with S the proof side (class comment).
+  template <Side S>
+  Repair repair(std::span<const vid_t> own_roots,
+                std::span<const vid_t> other_roots);
+  /// Repeated sweeps from every free S vertex until one finds nothing
+  /// or `bound` paths (the most the maximum can have grown) are found.
+  template <Side S>
+  void sweep_to_maximum(std::int64_t bound);
+  void sweep_from_proof_side(std::int64_t bound);
+  /// Walk both Koenig regions in lockstep and fix the proof side (the
+  /// first to be exhausted, i.e. the one with fewer edges).
+  void choose_proof_side();
   void note_search(bool found_path);
   bool staleness_tripped() const;
   void full_resolve();
@@ -183,11 +236,17 @@ class DynamicMatcher {
   std::int64_t edges_at_resolve_ = 0;
   int failure_streak_ = 0;
 
-  /// Serial-BFS scratch, epoch-invalidated per search (no O(n) clear).
-  EpochStamps visited_x_;
-  EpochStamps visited_y_;
-  std::vector<vid_t> parent_y_;  ///< Y -> X that discovered it (X roots)
-  std::vector<vid_t> parent_x_;  ///< X -> Y that discovered it (Y roots)
+  /// The side every maximality proof sweeps from, and the edges its
+  /// Koenig region scans (the other-side budget); both fixed at each
+  /// full solve.
+  Side proof_side_ = Side::kX;
+  std::int64_t proof_edges_ = 0;
+
+  /// Serial-BFS scratch, indexed by side, epoch-invalidated per search
+  /// (no O(n) clear). parent_[s][v] is the other-side vertex that
+  /// discovered v.
+  EpochStamps visited_[2];
+  std::vector<vid_t> parent_[2];
   std::vector<vid_t> queue_;
 
   DynamicCounters counters_;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graftmatch/baselines/hopcroft_karp.hpp"
@@ -114,12 +115,20 @@ const char* corpus_name(int which) {
 /// live edge set) and insertions (removed edges re-added plus fresh
 /// random pairs), checking the matcher against the oracle after every
 /// batch. Batch sizes sweep 1..256 so single-edge updates and
-/// bulk updates both get covered.
+/// bulk updates both get covered. `sides_seen`, when given, collects
+/// the proof sides the matcher reported (bit 0: x, bit 1: y).
 void churn_against_oracle(const BipartiteGraph& start, std::uint64_t seed,
                           const DynamicConfig& config,
-                          const std::string& label, int batches = 10) {
+                          const std::string& label, int batches = 10,
+                          unsigned* sides_seen = nullptr) {
   SessionContext session;
   DynamicMatcher matcher(session, start, config);
+  const auto note_side = [&] {
+    if (sides_seen != nullptr) {
+      *sides_seen |= matcher.stats().dynamic.proof_side == 'x' ? 1u : 2u;
+    }
+  };
+  note_side();
 
   Xoshiro256 rng(mix64(seed ^ 0xd15c0u));
   std::vector<Edge> live = start.to_edges().edges;
@@ -167,18 +176,24 @@ void churn_against_oracle(const BipartiteGraph& start, std::uint64_t seed,
         << label << " step " << step << " (oracle disagrees)";
     ASSERT_TRUE(is_maximum_matching(snapshot, matcher.matching()))
         << label << " step " << step << " (Koenig rejects)";
+    note_side();
   }
 }
 
 TEST(DynamicChurn, OracleParityAcrossGeneratorsAndSeeds) {
+  unsigned sides_seen = 0;
   for (int which = 0; which < kCorpusSize; ++which) {
     for (std::uint64_t seed : {11ULL, 12ULL, 13ULL, 14ULL}) {
       const BipartiteGraph g = corpus_graph(which, seed);
       churn_against_oracle(g, seed, DynamicConfig{},
                            std::string(corpus_name(which)) + "/" +
-                               std::to_string(seed));
+                               std::to_string(seed),
+                           10, &sides_seen);
     }
   }
+  // The corpus must prove maximality from both sides, or one
+  // instantiation of every search goes untested.
+  EXPECT_EQ(sides_seen, 3u);
 }
 
 TEST(DynamicChurn, KnobSettingsAreCostOnly) {
@@ -211,6 +226,227 @@ TEST(DynamicChurn, SelfCheckingModeAndOtherSolvers) {
   config.initializer = "streaming_ks";
   config.staleness_delta_fraction = 0.05;  // force frequent re-solves
   churn_against_oracle(g, 31, config, "audited_hk");
+}
+
+// ---- the proof side and deletion repair, on hand-built graphs.
+
+/// Disjoint complete blocks: `surplus_x` copies of K(4,3) (one free X
+/// each, a free-X region of 12 edges) and `surplus_y` copies of K(3,4)
+/// (one free Y each). `transpose` swaps the sides.
+BipartiteGraph block_graph(int surplus_x, int surplus_y, bool transpose) {
+  EdgeList list;
+  const auto add_block = [&](int bx, int by) {
+    for (int x = 0; x < bx; ++x) {
+      for (int y = 0; y < by; ++y) {
+        list.edges.push_back({list.nx + x, list.ny + y});
+      }
+    }
+    list.nx += bx;
+    list.ny += by;
+  };
+  for (int b = 0; b < surplus_x; ++b) add_block(4, 3);
+  for (int b = 0; b < surplus_y; ++b) add_block(3, 4);
+  if (transpose) {
+    std::swap(list.nx, list.ny);
+    for (Edge& e : list.edges) e = {e.y, e.x};
+  }
+  return BipartiteGraph::from_edges(list);
+}
+
+void expect_oracle(const DynamicMatcher& matcher, const std::string& label) {
+  const BipartiteGraph live = matcher.materialize();
+  EXPECT_EQ(matcher.cardinality(), hk_cardinality(live)) << label;
+  EXPECT_TRUE(is_maximum_matching(live, matcher.matching())) << label;
+}
+
+TEST(DynamicProofSide, SmallerKoenigRegionIsTheProofSide) {
+  // Ten X-surplus blocks against one Y-surplus block: the free-Y region
+  // scans 12 edges, the free-X region 120, so y proves; transposed, x.
+  for (const bool transpose : {false, true}) {
+    const char want = transpose ? 'x' : 'y';
+    const std::string label = std::string("proof side ") + want;
+    const BipartiteGraph g = block_graph(10, 1, transpose);
+    SessionContext session;
+    DynamicConfig config;
+    config.check_invariants = true;
+    {
+      DynamicMatcher matcher(session, g, config);
+      EXPECT_EQ(matcher.stats().dynamic.proof_side, want) << label;
+      const std::string json = run_stats_json(matcher.stats());
+      EXPECT_NE(json.find(std::string("\"proof_side\":\"") + want + '"'),
+                std::string::npos)
+          << json;
+      // Remove and re-add every edge of one X-surplus block and of the
+      // Y-surplus block: the freed roots lie on both sides, and only
+      // the proof side's are searched before the sweep.
+      const EdgeList edges = g.to_edges();
+      std::vector<Edge> batch;
+      for (const Edge& e : edges.edges) {
+        const vid_t block = transpose ? e.y : e.x;
+        if (block < 4 || block >= 40) batch.push_back(e);
+      }
+      matcher.remove_edges(batch);
+      expect_oracle(matcher, label + " after remove");
+      matcher.add_edges(batch);
+      expect_oracle(matcher, label + " after add");
+      EXPECT_EQ(matcher.cardinality(), hk_cardinality(g)) << label;
+    }
+    churn_against_oracle(g, 61, config, label);
+  }
+}
+
+/// The ladder: a_1..a_w each own a private c_i, x_b - y_b with y_b also
+/// adjacent to every a_i, an isolated x_f, and disjoint complete blocks
+/// K(bx, by). Every maximum matching pairs a_i-c_i (a free c_i would
+/// leave x_b - y_b = a_i - c_i augmenting) and x_b - y_b, so x_f is the
+/// ladder's only free vertex and the blocks decide the proof side: a
+/// K(b + 1, b) block adds b(b + 1) edges to the free-X region, a
+/// K(b, b + 1) block as many to the free-Y region. `transpose` swaps
+/// the sides. Vertex ids on the ladder's sides: a_i = c_i = i - 1,
+/// x_b = y_b = w, x_f = w + 1.
+struct Ladder {
+  BipartiteGraph graph;
+  Edge bridge;   ///< (x_f, c_w): added after construction
+  Edge matched;  ///< (x_b, y_b): the deletion
+};
+
+Ladder ladder(int w, const std::vector<std::pair<int, int>>& blocks,
+              bool transpose) {
+  EdgeList list;
+  list.nx = w + 2;
+  list.ny = w + 1;
+  for (int i = 0; i < w; ++i) {
+    list.edges.push_back({i, i});
+    list.edges.push_back({i, w});
+  }
+  list.edges.push_back({w, w});
+  for (const auto& [bx, by] : blocks) {
+    for (int x = 0; x < bx; ++x) {
+      for (int y = 0; y < by; ++y) {
+        list.edges.push_back({list.nx + x, list.ny + y});
+      }
+    }
+    list.nx += bx;
+    list.ny += by;
+  }
+  Edge bridge{w + 1, w - 1};
+  Edge matched{w, w};
+  if (transpose) {
+    std::swap(list.nx, list.ny);
+    for (Edge& e : list.edges) e = {e.y, e.x};
+    bridge = {bridge.y, bridge.x};
+  }
+  return {BipartiteGraph::from_edges(list), bridge, matched};
+}
+
+TEST(DynamicProofSide, PathFromAnOldFreeXToTheFreedY) {
+  // Deleting (x_b, y_b) isolates x_b, and the one augmenting path runs
+  // from the OLD free x_f through c_w = a_w to the freed y_b; y_b's
+  // search spends w + (w + 1) edges of budget to find it. Each case
+  // pins one repair path, in both orientations:
+  //  * y proves (two K(4,3): free-X region 24 edges against 12): y_b's
+  //    own proof-side search repairs it.
+  //  * x proves with a K(3,2) (free-X region 6 edges, the budget): for
+  //    w = 1 the other-side search from y_b fits the budget and repairs
+  //    it; for w = 4 it runs out, and only the sweep from x_f can.
+  //  * x proves with no X block (free-X region 0 edges): the budget is
+  //    empty, so the sweep repairs it.
+  enum class Path { kProofSide, kOtherSide, kSweep };
+  struct Case {
+    int w;
+    std::vector<std::pair<int, int>> blocks;
+    char proof_side;
+    Path path;
+  };
+  const std::vector<Case> cases = {
+      {1, {{3, 4}, {4, 3}, {4, 3}}, 'y', Path::kProofSide},
+      {4, {{3, 4}, {4, 3}, {4, 3}}, 'y', Path::kProofSide},
+      {1, {{3, 4}, {3, 2}}, 'x', Path::kOtherSide},
+      {4, {{3, 4}, {3, 2}}, 'x', Path::kSweep},
+      {1, {{3, 4}}, 'x', Path::kSweep},
+      {4, {{3, 4}}, 'x', Path::kSweep},
+  };
+  for (const Case& c : cases) {
+    for (const bool transpose : {false, true}) {
+      const std::string label = "w=" + std::to_string(c.w) + " blocks=" +
+                                std::to_string(c.blocks.size()) +
+                                (transpose ? " transposed" : "");
+      const Ladder l = ladder(c.w, c.blocks, transpose);
+      SessionContext session;
+      DynamicConfig config;
+      config.check_invariants = true;
+      DynamicMatcher matcher(session, l.graph, config);
+      EXPECT_EQ(matcher.stats().dynamic.proof_side,
+                transpose == (c.proof_side == 'x') ? 'y' : 'x')
+          << label;
+      const std::int64_t full = matcher.cardinality();
+      EXPECT_EQ(matcher.add_edges({&l.bridge, 1}), 1);
+      EXPECT_EQ(matcher.cardinality(), full) << label;
+      const DynamicCounters before = matcher.stats().dynamic;
+      EXPECT_EQ(matcher.remove_edges({&l.matched, 1}), 1);
+      const DynamicCounters after = matcher.stats().dynamic;
+      EXPECT_EQ(matcher.cardinality(), full) << label;
+      EXPECT_EQ(after.resolves, before.resolves) << label;
+      const std::int64_t searches =
+          after.reaugment_searches - before.reaugment_searches;
+      if (c.path == Path::kSweep) {
+        EXPECT_EQ(after.budget_aborts - before.budget_aborts, 1) << label;
+        EXPECT_GT(after.sweep_rounds, before.sweep_rounds) << label;
+      } else {
+        EXPECT_EQ(searches, c.path == Path::kProofSide ? 1 : 2) << label;
+        EXPECT_EQ(after.reaugment_paths - before.reaugment_paths, 1)
+            << label;
+        EXPECT_EQ(after.sweep_rounds, before.sweep_rounds) << label;
+        EXPECT_EQ(after.budget_aborts, before.budget_aborts) << label;
+      }
+      expect_oracle(matcher, label);
+      // Re-adding the edge leaves the maximum where it was: a_i, x_b
+      // and x_f compete for the w + 1 ladder Ys either way.
+      EXPECT_EQ(matcher.add_edges({&l.matched, 1}), 1);
+      EXPECT_EQ(matcher.cardinality(), full) << label;
+      expect_oracle(matcher, label + " re-added");
+    }
+  }
+}
+
+TEST(DynamicProofSide, PartialRepairNeedsTheSweep) {
+  // Matched x1 - y_b and x2 - y_a with unmatched x1 - y_a, x0 - y_a and
+  // x1 - y0 added later (x0, y0 free; y_a < y0 in x1's adjacency).
+  // Deleting both matched edges frees k = 2 pairs. The proof-side
+  // search from x1 takes the nearest free vertex, y_a -- the freed
+  // endpoint of the OTHER deletion -- so p = 1, and every remaining
+  // freed root is now isolated. The missing path x0 - y_a = x1 - y0
+  // runs between two old free vertices; only the sweep finds it. The
+  // same holds transposed, where the search from y_a takes x1.
+  for (const bool transpose : {false, true}) {
+    const std::string label = transpose ? "transposed" : "plain";
+    const vid_t x1 = 0, x2 = 1, x0 = 2, ya = 0, yb = 1, y0 = 2;
+    std::vector<Edge> start = {{x1, yb}, {x2, ya}};
+    std::vector<Edge> added = {{x1, ya}, {x0, ya}, {x1, y0}};
+    std::vector<Edge> removed = {{x1, yb}, {x2, ya}};
+    if (transpose) {
+      for (auto* edges : {&start, &added, &removed}) {
+        for (Edge& e : *edges) e = {e.y, e.x};
+      }
+    }
+    EdgeList list;
+    list.nx = 3;
+    list.ny = 3;
+    list.edges = start;
+    SessionContext session;
+    DynamicConfig config;
+    config.check_invariants = true;
+    DynamicMatcher matcher(session, BipartiteGraph::from_edges(list), config);
+    EXPECT_EQ(matcher.add_edges(added), 3);
+    EXPECT_EQ(matcher.cardinality(), 2) << label;
+    const DynamicCounters before = matcher.stats().dynamic;
+    EXPECT_EQ(matcher.remove_edges(removed), 2);
+    const DynamicCounters after = matcher.stats().dynamic;
+    EXPECT_EQ(matcher.cardinality(), 2) << label;
+    EXPECT_EQ(after.budget_aborts, before.budget_aborts) << label;
+    EXPECT_GT(after.sweep_rounds, before.sweep_rounds) << label;
+    expect_oracle(matcher, label);
+  }
 }
 
 // ---- exhaustive tiny-graph churn against an independent Kuhn
