@@ -86,12 +86,6 @@ struct GraftState {
 
   std::int64_t unvisited_y = 0;  ///< for the direction heuristic
   bool pool_built = false;       ///< bottom-up candidate pool exists
-  /// One-thread team (evaluated after the ThreadCountGuard pins the
-  /// width): bitmap writes then skip the locked RMW the shared-word
-  /// layout otherwise requires. A fetch_or/fetch_and per visit is the
-  /// one place the packed layout loses to byte arrays' plain stores,
-  /// and on a serial team it buys nothing.
-  const bool serial;
 
   GraftState(const BipartiteGraph& graph, Matching& matching,
              GraftWorkspace& workspace)
@@ -99,8 +93,7 @@ struct GraftState {
         mate_x(matching.mate_x()),
         mate_y(matching.mate_y()),
         ws(workspace),
-        unvisited_y(graph.num_y()),
-        serial(engine::serial_team()) {}
+        unvisited_y(graph.num_y()) {}
 
   /// x belongs to a tree in which no augmenting path has been found.
   /// The acquire pairs with update_pointers' stamp_release: a valid
@@ -112,6 +105,29 @@ struct GraftState {
     return !ws.leaf_stamp.valid(static_cast<std::size_t>(r));
   }
 };
+
+// Bitmap writes by where the kernel ran the callback, read from the
+// handle type it passed (engine::runs_inline_v). Inline, the calling
+// thread owns every word and the plain ops skip the locked RMW -- a
+// fetch_or/fetch_and per visit is the one place the packed layout loses
+// to byte arrays' plain stores. On a team, 64 neighbors share each
+// word, so the atomic ops are required even where each bit has a
+// single owner.
+template <typename Handle>
+bool claim_bit_as(AtomicBitmap& bits, vid_t v) noexcept {
+  const auto i = static_cast<std::size_t>(v);
+  return engine::runs_inline_v<Handle> ? bits.claim_serial(i) : bits.claim(i);
+}
+template <typename Handle>
+void set_bit_as(AtomicBitmap& bits, vid_t v) noexcept {
+  const auto i = static_cast<std::size_t>(v);
+  engine::runs_inline_v<Handle> ? bits.set_serial(i) : bits.set(i);
+}
+template <typename Handle>
+void clear_bit_as(AtomicBitmap& bits, vid_t v) noexcept {
+  const auto i = static_cast<std::size_t>(v);
+  engine::runs_inline_v<Handle> ? bits.clear_serial(i) : bits.clear(i);
+}
 
 /// Algorithm 5: attach the (already claimed) Y vertex y as a child of x,
 /// and either extend the frontier through y's mate or record an
@@ -144,10 +160,9 @@ inline void update_pointers(GraftState& state, vid_t x, vid_t y, Out& out) {
 /// X vertex via the edge-balanced kernel (a hub's adjacency may be
 /// split across threads; claims are atomic, so that is safe); claims
 /// unvisited Y vertices atomically and tracks them in touched_y.
-void top_down(GraftState& state, std::int64_t& edges,
-              std::int64_t& newly_visited) {
+engine::TraversalCounters top_down(GraftState& state) {
   GraftWorkspace& ws = state.ws;
-  const engine::TraversalCounters counters = engine::for_each_frontier_edge(
+  return engine::for_each_frontier_edge(
       engine::x_adjacency(state.g), ws.frontier.items(), ws.next, ws.touched_y,
       ws.partition,
       // The tree may have turned renewable after x was enqueued; such
@@ -155,17 +170,11 @@ void top_down(GraftState& state, std::int64_t& edges,
       [&](vid_t x) { return state.in_active_tree(x); },
       [&](vid_t x, vid_t y, auto& out, auto& track,
           engine::TraversalCounters& local) {
-        const auto yi = static_cast<std::size_t>(y);
-        if (!(state.serial ? ws.visited.claim_serial(yi)
-                           : ws.visited.claim(yi))) {
-          return;
-        }
+        if (!claim_bit_as<decltype(out)>(ws.visited, y)) return;
         ++local.visits;
         track.push(y);
         update_pointers(state, x, y, out);
       });
-  edges += counters.edges;
-  newly_visited += counters.visits;
 }
 
 /// Algorithm 6: bottom-up step over the Y vertices in `candidates`
@@ -177,48 +186,42 @@ void top_down(GraftState& state, std::int64_t& edges,
 /// scans end pool membership, so only they clear pool stamps
 /// (`pool_scan`); the graft scan runs over renewableY and must leave
 /// the stamps of entries still physically in the pool alone.
-void bottom_up(GraftState& state, std::span<const vid_t> candidates,
-               std::int64_t& edges, std::int64_t& newly_visited,
-               FrontierQueue<vid_t>& failed, bool pool_scan) {
+engine::TraversalCounters bottom_up(GraftState& state,
+                                    std::span<const vid_t> candidates,
+                                    FrontierQueue<vid_t>& failed,
+                                    bool pool_scan) {
   GraftWorkspace& ws = state.ws;
-  const engine::TraversalCounters counters =
-      engine::for_each_unvisited_reverse(
-          engine::y_adjacency(state.g), candidates, ws.next, failed,
-          ws.touched_y, ws.partition,
-          [&](vid_t y) {
-            if (!ws.visited.test(static_cast<std::size_t>(y))) return false;
-            if (pool_scan) ws.pool_stamp.clear(static_cast<std::size_t>(y));
-            return true;
-          },
-          [&](vid_t y, vid_t x, auto& out, auto& track) {
-            // One bit load replaces the x_join_time >= now compare plus
-            // in_active_tree()'s first load: the bit is set only at
-            // pass boundaries, for members of then-active trees, so it
-            // rejects non-forest vertices with a single test.
-            if (!ws.active_x.test(static_cast<std::size_t>(x))) return false;
-            // The bit cannot see mid-pass tree deaths; attaching y to a
-            // tree whose augmenting path was already found wastes it
-            // for the phase, so trees that died since the boundary pay
-            // the root/leaf load chain here, on bit-positive x only.
-            // Racing a concurrent leaf discovery is the same benign
-            // race the leaf store itself documents.
-            const vid_t root =
-                relaxed_load(ws.root_x[static_cast<std::size_t>(x)]);
-            if (ws.leaf_stamp.valid(static_cast<std::size_t>(root))) {
-              return false;
-            }
-            if (state.serial) {
-              ws.visited.set_serial(static_cast<std::size_t>(y));
-            } else {
-              ws.visited.set(static_cast<std::size_t>(y));
-            }
-            if (pool_scan) ws.pool_stamp.clear(static_cast<std::size_t>(y));
-            track.push(y);
-            update_pointers(state, x, y, out);
-            return true;  // stop exploring y's neighbors once attached
-          });
-  edges += counters.edges;
-  newly_visited += counters.visits;
+  return engine::for_each_unvisited_reverse(
+      engine::y_adjacency(state.g), candidates, ws.next, failed,
+      ws.touched_y, ws.partition,
+      [&](vid_t y) {
+        if (!ws.visited.test(static_cast<std::size_t>(y))) return false;
+        if (pool_scan) ws.pool_stamp.clear(static_cast<std::size_t>(y));
+        return true;
+      },
+      [&](vid_t y, vid_t x, auto& out, auto& track) {
+        // One bit load replaces the x_join_time >= now compare plus
+        // in_active_tree()'s first load: the bit is set only at
+        // pass boundaries, for members of then-active trees, so it
+        // rejects non-forest vertices with a single test.
+        if (!ws.active_x.test(static_cast<std::size_t>(x))) return false;
+        // The bit cannot see mid-pass tree deaths; attaching y to a
+        // tree whose augmenting path was already found wastes it
+        // for the phase, so trees that died since the boundary pay
+        // the root/leaf load chain here, on bit-positive x only.
+        // Racing a concurrent leaf discovery is the same benign
+        // race the leaf store itself documents.
+        const vid_t root =
+            relaxed_load(ws.root_x[static_cast<std::size_t>(x)]);
+        if (ws.leaf_stamp.valid(static_cast<std::size_t>(root))) {
+          return false;
+        }
+        set_bit_as<decltype(out)>(ws.visited, y);
+        if (pool_scan) ws.pool_stamp.clear(static_cast<std::size_t>(y));
+        track.push(y);
+        update_pointers(state, x, y, out);
+        return true;  // stop exploring y's neighbors once attached
+      });
 }
 
 /// Word-level bottom-up step (RunConfig::bottom_up_kernel == kWord):
@@ -232,10 +235,9 @@ void bottom_up(GraftState& state, std::span<const vid_t> candidates,
 /// body are the bit path's, verbatim: active_x bit first, then the
 /// root/leaf confirmation on bit-positive x only, with the same
 /// documented benign race against mid-pass tree deaths.
-engine::WordScanCounters bottom_up_words(GraftState& state, std::int64_t& edges,
-                                         std::int64_t& newly_visited) {
+engine::WordScanCounters bottom_up_words(GraftState& state) {
   GraftWorkspace& ws = state.ws;
-  const engine::WordScanCounters counters = engine::for_each_unvisited_word(
+  return engine::for_each_unvisited_word(
       engine::y_adjacency(state.g), ws.visited,
       static_cast<std::int64_t>(state.g.num_y()), ws.next, ws.touched_y,
       [&](vid_t /*y*/, vid_t x) {
@@ -244,9 +246,6 @@ engine::WordScanCounters bottom_up_words(GraftState& state, std::int64_t& edges,
         return !ws.leaf_stamp.valid(static_cast<std::size_t>(root));
       },
       [&](vid_t y, vid_t x, auto& out) { update_pointers(state, x, y, out); });
-  edges += counters.traversal.edges;
-  newly_visited += counters.traversal.visits;
-  return counters;
 }
 
 /// Install the freshly built frontier for the next pass: when bottom-up
@@ -260,22 +259,8 @@ engine::WordScanCounters bottom_up_words(GraftState& state, std::int64_t& edges,
 void publish_frontier(GraftState& state, bool mark_active) {
   if (!mark_active) return;
   GraftWorkspace& ws = state.ws;
-  const std::span<const vid_t> members = ws.frontier.items();
-  if (state.serial) {
-    // Runs once per LEVEL; a plain bit loop beats kernel dispatch on a
-    // one-thread team.
-    for (const vid_t x : members) {
-      ws.active_x.set_serial(static_cast<std::size_t>(x));
-    }
-    return;
-  }
-  const auto count = static_cast<std::int64_t>(members.size());
-  parallel_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < count; ++i) {
-      ws.active_x.set(
-          static_cast<std::size_t>(members[static_cast<std::size_t>(i)]));
-    }
+  engine::for_each_item(ws.frontier.items(), [&](vid_t x, auto lane) {
+    set_bit_as<decltype(lane)>(ws.active_x, x);
   });
 }
 
@@ -444,6 +429,8 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
   stats.bookkeeping.workspace_warm = warm;
 
   GraftState state(g, matching, ws);
+  stats.team.collected = true;
+  const std::uint64_t regions_at_start = regions_opened_here();
   engine::DirectionSelector direction(config.direction_policy, config.alpha,
                                       g.num_edges(),
                                       static_cast<std::int64_t>(ny));
@@ -518,19 +505,19 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
             {stats.phases, level, frontier_size, use_bottom_up});
       }
 
-      std::int64_t newly_visited = 0;
+      engine::TraversalCounters level_work;
       ws.next.clear();
       phase_row.bottom_up_levels += use_bottom_up;
       if (use_bottom_up && config.bottom_up_kernel == BottomUpKernel::kWord) {
         // Word arm: one ctz sweep of the visited complement, no pool.
         const auto lap = sink.scoped(Step::kBottomUp);
-        const engine::WordScanCounters word =
-            bottom_up_words(state, stats.edges_traversed, newly_visited);
+        const engine::WordScanCounters word = bottom_up_words(state);
+        level_work = word.traversal;
         direction.counters().word_commits += word.commits;
         direction.counters().word_fallbacks += word.fallbacks;
         // Same low-yield ban as the pool path, against the candidates
         // this sweep actually examined.
-        if (8 * newly_visited < word.candidates) bottom_up_banned = true;
+        if (8 * level_work.visits < word.candidates) bottom_up_banned = true;
       } else if (use_bottom_up) {
         const auto lap = sink.scoped(Step::kBottomUp);
         if (!state.pool_built) {
@@ -552,19 +539,21 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
                             static_cast<std::int64_t>(ws.pool.size()));
         }
         ws.pool_failed.clear();
-        bottom_up(state, ws.pool.items(), stats.edges_traversed,
-                  newly_visited, ws.pool_failed, /*pool_scan=*/true);
+        level_work = bottom_up(state, ws.pool.items(), ws.pool_failed,
+                               /*pool_scan=*/true);
         // Low yield: the survivors are (almost all) unreachable this
         // phase; stop paying to rescan them.
-        if (8 * newly_visited < static_cast<std::int64_t>(ws.pool.size())) {
+        if (8 * level_work.visits < static_cast<std::int64_t>(ws.pool.size())) {
           bottom_up_banned = true;
         }
         ws.pool.swap(ws.pool_failed);
       } else {
         const auto lap = sink.scoped(Step::kTopDown);
-        top_down(state, stats.edges_traversed, newly_visited);
+        level_work = top_down(state);
       }
-      state.unvisited_y -= newly_visited;
+      stats.edges_traversed += level_work.edges;
+      ++(level_work.wide ? stats.team.wide_levels : stats.team.inline_levels);
+      state.unvisited_y -= level_work.visits;
       ws.frontier.clear();
       ws.frontier.swap(ws.next);
       publish_frontier(state, mark_active);
@@ -692,56 +681,20 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
     // the dead trees' eligible-parent bits: every non-root member is
     // some renewable Y's post-augmentation mate, and the roots are in
     // renewable_roots.
-    {
-      const auto renewables = ws.renewable_y.items();
-      const auto renewable_count =
-          static_cast<std::int64_t>(renewables.size());
-      const auto dead_roots = ws.renewable_roots.items();
-      const auto dead_root_count =
-          static_cast<std::int64_t>(dead_roots.size());
-      if (state.serial) {
-        for (std::int64_t i = 0; i < renewable_count; ++i) {
-          const vid_t y = renewables[static_cast<std::size_t>(i)];
-          const auto yi = static_cast<std::size_t>(y);
-          ws.visited.clear_serial(yi);
-          if (mark_active) {
-            const vid_t m = state.mate_y[yi];
-            if (m != kInvalidVertex) {
-              ws.active_x.clear_serial(static_cast<std::size_t>(m));
-            }
-          }
-        }
-        if (mark_active) {
-          for (std::int64_t i = 0; i < dead_root_count; ++i) {
-            ws.active_x.clear_serial(
-                static_cast<std::size_t>(dead_roots[static_cast<std::size_t>(i)]));
-          }
-        }
-      } else {
-        parallel_region([&] {
-#pragma omp for schedule(static) nowait
-          for (std::int64_t i = 0; i < renewable_count; ++i) {
-            const vid_t y = renewables[static_cast<std::size_t>(i)];
-            const auto yi = static_cast<std::size_t>(y);
-            ws.visited.clear(yi);
-            if (mark_active) {
-              const vid_t m = state.mate_y[yi];
-              if (m != kInvalidVertex) {
-                ws.active_x.clear(static_cast<std::size_t>(m));
-              }
-            }
-          }
-          if (mark_active) {
-#pragma omp for schedule(static)
-            for (std::int64_t i = 0; i < dead_root_count; ++i) {
-              ws.active_x.clear(static_cast<std::size_t>(
-                  dead_roots[static_cast<std::size_t>(i)]));
-            }
-          }
-        });
-      }
-      state.unvisited_y += renewable_count;
+    engine::for_each_item(ws.renewable_y.items(), [&](vid_t y, auto lane) {
+      using Lane = decltype(lane);
+      clear_bit_as<Lane>(ws.visited, y);
+      if (!mark_active) return;
+      const vid_t m = state.mate_y[static_cast<std::size_t>(y)];
+      if (m != kInvalidVertex) clear_bit_as<Lane>(ws.active_x, m);
+    });
+    if (mark_active) {
+      engine::for_each_item(ws.renewable_roots.items(),
+                            [&](vid_t x, auto lane) {
+                              clear_bit_as<decltype(lane)>(ws.active_x, x);
+                            });
     }
+    state.unvisited_y += static_cast<std::int64_t>(ws.renewable_y.size());
 
     const bool graft_profitable =
         config.tree_grafting &&
@@ -764,11 +717,12 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
       // pool (they are unvisited again).
       ws.carry_y.swap(ws.active_y);
       ws.touched_y.clear();
-      std::int64_t newly_visited = 0;
       ws.pool_failed.clear();  // scratch: the graft's failed list
-      bottom_up(state, ws.renewable_y.items(), stats.edges_traversed,
-                newly_visited, ws.pool_failed, /*pool_scan=*/false);
-      state.unvisited_y -= newly_visited;
+      const engine::TraversalCounters graft_work =
+          bottom_up(state, ws.renewable_y.items(), ws.pool_failed,
+                    /*pool_scan=*/false);
+      stats.edges_traversed += graft_work.edges;
+      state.unvisited_y -= graft_work.visits;
       if (state.pool_built) refill_pool(state, ws.pool_failed.items(), stats);
       ws.frontier.swap(ws.next);
       publish_frontier(state, mark_active);
@@ -777,25 +731,10 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
       // X vertices (Algorithm 7 lines 10-15). Freeing the active Y
       // vertices plus two epoch bumps IS the teardown -- no O(nx)
       // root_x clear.
-      {
-        const auto items = ws.active_y.items();
-        const auto count = static_cast<std::int64_t>(items.size());
-        if (state.serial) {
-          for (std::int64_t i = 0; i < count; ++i) {
-            ws.visited.clear_serial(
-                static_cast<std::size_t>(items[static_cast<std::size_t>(i)]));
-          }
-        } else {
-          parallel_region([&] {
-#pragma omp for schedule(static)
-            for (std::int64_t i = 0; i < count; ++i) {
-              ws.visited.clear(
-                  static_cast<std::size_t>(items[static_cast<std::size_t>(i)]));
-            }
-          });
-        }
-        state.unvisited_y += count;
-      }
+      engine::for_each_item(ws.active_y.items(), [&](vid_t y, auto lane) {
+        clear_bit_as<decltype(lane)>(ws.visited, y);
+      });
+      state.unvisited_y += static_cast<std::int64_t>(ws.active_y.size());
       // A rebuild frees the WHOLE forest's Y set. Refilling the pool
       // with it would cost O(|forest|) per rebuild for candidates a
       // later bottom-up pass may never scan (rebuild-heavy instances
@@ -832,6 +771,10 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
 
   stats.direction = direction.counters();
   stats.direction.kernel = config.bottom_up_kernel;
+  stats.team.regions =
+      static_cast<std::int64_t>(regions_opened_here() - regions_at_start);
+  obs::emit_instant(obs::names::kTeam, stats.team.wide_levels,
+                    stats.team.regions);
   sink.finish(matching);
   return stats;
 }

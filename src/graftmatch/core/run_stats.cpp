@@ -296,6 +296,12 @@ std::string run_stats_json(const RunStats& stats) {
         << ",\"word_commits\":" << dir.word_commits
         << ",\"word_fallbacks\":" << dir.word_fallbacks << "}";
   }
+  if (stats.team.collected) {
+    const TeamCounters& t = stats.team;
+    out << ",\"team\":{\"inline_levels\":" << t.inline_levels
+        << ",\"wide_levels\":" << t.wide_levels
+        << ",\"regions\":" << t.regions << "}";
+  }
   if (!stats.path_length_histogram.empty()) {
     out << ",\"path_length_histogram\":[";
     bool first = true;

@@ -233,6 +233,20 @@ struct DirectionCounters {
   std::int64_t word_fallbacks = 0;
 };
 
+/// How MS-BFS-Graft's kernel calls used the thread team. Each call runs
+/// inline on the calling thread or on the team, by its own edge mass
+/// against engine::kMinTeamWork (engine/frontier_kernels.hpp).
+/// `collected` stays false for other algorithms. Stamped by
+/// ms_bfs_graft ("team" JSON block).
+struct TeamCounters {
+  bool collected = false;
+  std::int64_t inline_levels = 0;  ///< BFS levels run on the calling thread
+  std::int64_t wide_levels = 0;    ///< BFS levels run on the team
+  /// Parallel regions the solve opened from its own thread (levels,
+  /// bookkeeping sweeps and the per-phase augment).
+  std::int64_t regions = 0;
+};
+
 /// Counters from the kernelization pre-pass (src/graftmatch/reduce/).
 /// `collected` stays false when no reduction ran; the other fields are
 /// then meaningless. Stamped by engine::run_reduced.
@@ -363,6 +377,9 @@ struct RunStats {
   /// Direction-policy and kernel-arm counters (see DirectionCounters).
   /// Stamped by ms_bfs_graft.
   DirectionCounters direction;
+
+  /// Team-width counters (see TeamCounters). Stamped by ms_bfs_graft.
+  TeamCounters team;
 
   /// Sharded-execution counters (see ShardCounters). Stamped by
   /// engine::run_sharded when a sharded run happened; phases/edges/

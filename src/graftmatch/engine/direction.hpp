@@ -51,11 +51,12 @@ inline constexpr double kAdaptiveHysteresis = 4.0;
 
 /// Sum of adjacency degrees over `items` -- the exact edge count a
 /// top-down level over this frontier would scan. One O(|items|) pass
-/// over the offsets array; parallel above the serial-team cutoff.
+/// over the offsets array; parallel only for lists of kMinTeamWork
+/// items or more (the kernels' team-width rule, frontier_kernels.hpp).
 inline std::int64_t scout_edge_sum(const Adjacency& adj,
                                    std::span<const vid_t> items) {
   const auto count = static_cast<std::int64_t>(items.size());
-  if (serial_team() || count < 4096) {
+  if (!run_wide(count)) {
     std::int64_t total = 0;
     for (const vid_t v : items) total += adj.degree(v);
     return total;

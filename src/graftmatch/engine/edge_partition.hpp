@@ -36,6 +36,15 @@
 
 namespace graftmatch::engine {
 
+/// Smallest kernel call, in edge mass, that runs on the thread team.
+/// A call with less work runs inline on the calling thread: opening a
+/// region, building its partition and joining the team costs more than
+/// splitting a few thousand adjacency entries saves (docs/PERFORMANCE.md
+/// has the sweep that chose the value). It is also the list length
+/// below which a call's edge mass is summed serially, so the measuring
+/// pass never needs a team of its own.
+inline constexpr std::int64_t kMinTeamWork = 65536;
+
 /// Item boundaries for splitting `prefix` (an inclusive degree prefix
 /// sum of size items+1, prefix[0] == 0) into `parts` contiguous item
 /// ranges of near-equal edge weight. Returns parts+1 monotone indices
@@ -68,21 +77,28 @@ inline std::vector<std::int64_t> edge_balanced_boundaries(
 class EdgePartition {
  public:
   /// Rebuild for `items` work items with weight(i) >= 0 each. The fill
-  /// is parallel (weights are independent), the scan serial -- the scan
-  /// is a tiny fraction of the traversal it balances, and a serial scan
-  /// keeps the prefix identical across thread counts.
+  /// is parallel for long lists (weights are independent) and serial
+  /// below kMinTeamWork items; the scan is always serial -- it is a tiny
+  /// fraction of the traversal it balances, and a serial scan keeps the
+  /// prefix identical across thread counts.
   template <typename WeightFn>
   void build(std::int64_t items, WeightFn&& weight) {
     items_ = items;
     prefix_.resize(static_cast<std::size_t>(items) + 1);
     prefix_[0] = 0;
     auto* fill = prefix_.data() + 1;
-    parallel_region([&] {
-#pragma omp for schedule(static)
+    if (items < kMinTeamWork) {
       for (std::int64_t i = 0; i < items; ++i) {
         fill[i] = static_cast<std::int64_t>(weight(i));
       }
-    });
+    } else {
+      parallel_region([&] {
+#pragma omp for schedule(static)
+        for (std::int64_t i = 0; i < items; ++i) {
+          fill[i] = static_cast<std::int64_t>(weight(i));
+        }
+      });
+    }
     for (std::int64_t i = 0; i < items; ++i) fill[i] += prefix_[i];
   }
 

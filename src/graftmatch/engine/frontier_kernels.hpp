@@ -18,6 +18,14 @@
 //    (bottom-up visited flags, Karp-Sipser match attempts) needs no
 //    atomics and early exit per item is allowed.
 //
+// Team width is chosen per call from the call's own work (run_wide()):
+// a call whose edge mass is under kMinTeamWork runs inline on the
+// calling thread, handing its callbacks DirectPush (or InlineLane)
+// handles; a bigger one opens a team and hands out thread-private
+// FrontierQueue handles. Callbacks pick plain or atomic bitmap ops from
+// that handle type (runs_inline_v), so the choice is made at compile
+// time and a plain store can never run beside a team.
+//
 // All parallel kernels open their region through parallel_region() so
 // the TSan stress tier stays suppression-free.
 #pragma once
@@ -29,6 +37,7 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "graftmatch/engine/edge_partition.hpp"
@@ -68,6 +77,7 @@ inline Adjacency y_adjacency(const BipartiteGraph& g) noexcept {
 struct TraversalCounters {
   std::int64_t edges = 0;   ///< adjacency entries examined
   std::int64_t visits = 0;  ///< successful claims / attaches / pushes
+  bool wide = false;        ///< the call ran on the team, not inline
 };
 
 /// The paper's direction heuristic (Sec. III-B): run bottom-up when the
@@ -86,21 +96,56 @@ inline bool prefer_bottom_up(std::int64_t frontier_size,
          static_cast<double>(unvisited) / alpha;
 }
 
-/// True when the next parallel_region() would be one thread wide. The
-/// partitioned kernels then skip the per-level prefix-sum build and the
-/// region launch and run inline: with nothing to balance the partitioner
-/// is pure overhead (an extra O(frontier) pass per level costs ~30% of
-/// the serial search rate on uniform-degree graphs, see bench_fig4).
+/// True when the next parallel_region() would be one thread wide.
 inline bool serial_team() noexcept { return omp_get_max_threads() == 1; }
 
-/// Out-queue adapter for the kernels' one-thread fast paths: pushes go
-/// straight through the queue's serial cursor instead of the Handle's
-/// L1 buffer, whose flush would copy every item a second time for no
-/// contention benefit.
+/// The team-width rule for a call of `work` edge mass: run on the team
+/// only when there is a team and the work reaches kMinTeamWork. Below
+/// it the call runs inline with no prefix-sum build and no region
+/// launch; a one-thread team always runs inline (there the partitioner
+/// is pure overhead -- an extra O(frontier) pass per level costs ~30%
+/// of the serial search rate on uniform-degree graphs, see bench_fig4).
+inline bool run_wide(std::int64_t work) noexcept {
+  return work >= kMinTeamWork && !serial_team();
+}
+
+/// The same rule for `count` items of `weight(i)` edges each. A list of
+/// kMinTeamWork items or more is wide whatever its degrees (every item
+/// costs at least a probe); a shorter one is summed serially, stopping
+/// as soon as the sum reaches the cutoff, so a short list of hubs still
+/// gets the team.
+template <typename WeightFn>
+bool run_wide(std::int64_t count, WeightFn&& weight) {
+  if (serial_team()) return false;
+  if (count >= kMinTeamWork) return true;
+  std::int64_t mass = 0;
+  for (std::int64_t i = 0; i < count; ++i) {
+    mass += weight(i);
+    if (mass >= kMinTeamWork) return true;
+  }
+  return false;
+}
+
+/// Out-queue handle of an inline call: pushes go straight through the
+/// queue's serial cursor instead of a team Handle's L1 buffer, whose
+/// flush would copy every item a second time for no contention benefit.
 struct DirectPush {
   FrontierQueue<vid_t>& queue;
   void push(const vid_t& item) noexcept { queue.push(item); }
 };
+
+/// What the queue-free sweeps hand their body in place of a queue
+/// handle, so the body can still tell inline from team execution.
+struct InlineLane {};
+struct TeamLane {};
+
+/// True when a callback that received a `Handle` runs alone on the
+/// calling thread, so it may use the plain bitmap ops (claim_serial,
+/// set_serial, clear_serial) instead of the atomic ones.
+template <typename Handle>
+inline constexpr bool runs_inline_v =
+    std::is_same_v<std::remove_cvref_t<Handle>, DirectPush> ||
+    std::is_same_v<std::remove_cvref_t<Handle>, InlineLane>;
 
 /// Top-down level: scan every adjacency entry of every frontier vertex,
 /// split at EDGE granularity over the team. `filter(u)` gates a whole
@@ -120,7 +165,11 @@ TraversalCounters for_each_frontier_edge(const Adjacency& adj,
                                          FrontierQueue<vid_t>& touched,
                                          EdgePartition& partition,
                                          Filter&& filter, Visit&& visit) {
-  if (serial_team()) {
+  const auto count = static_cast<std::int64_t>(frontier.size());
+  const auto degree = [&](std::int64_t i) {
+    return adj.degree(frontier[static_cast<std::size_t>(i)]);
+  };
+  if (!run_wide(count, degree)) {
     const std::int64_t span_start = obs::timestamp();
     TraversalCounters totals;
     DirectPush out{next};
@@ -135,11 +184,9 @@ TraversalCounters for_each_frontier_edge(const Adjacency& adj,
                        totals.edges, totals.visits);
     return totals;
   }
-  const auto count = static_cast<std::int64_t>(frontier.size());
-  partition.build(count, [&](std::int64_t i) {
-    return adj.degree(frontier[static_cast<std::size_t>(i)]);
-  });
+  partition.build(count, degree);
   TraversalCounters totals;
+  totals.wide = true;
   parallel_region([&] {
     const std::int64_t span_start = obs::timestamp();
     auto out = next.handle();
@@ -190,7 +237,13 @@ TraversalCounters for_each_unvisited_reverse(const Adjacency& adj,
                                              FrontierQueue<vid_t>& touched,
                                              EdgePartition& partition,
                                              Skip&& skip, TryEdge&& try_edge) {
-  if (serial_team()) {
+  const auto count = static_cast<std::int64_t>(candidates.size());
+  // Weight degree+1: items with few (or zero) edges still cost a probe,
+  // and an all-zero frontier must not collapse onto one thread.
+  const auto weight = [&](std::int64_t i) {
+    return adj.degree(candidates[static_cast<std::size_t>(i)]) + 1;
+  };
+  if (!run_wide(count, weight)) {
     const std::int64_t span_start = obs::timestamp();
     TraversalCounters totals;
     DirectPush out{next};
@@ -213,13 +266,9 @@ TraversalCounters for_each_unvisited_reverse(const Adjacency& adj,
                        totals.visits);
     return totals;
   }
-  const auto count = static_cast<std::int64_t>(candidates.size());
-  // Weight degree+1: items with few (or zero) edges still cost a probe,
-  // and an all-zero frontier must not collapse onto one thread.
-  partition.build(count, [&](std::int64_t i) {
-    return adj.degree(candidates[static_cast<std::size_t>(i)]) + 1;
-  });
+  partition.build(count, weight);
   TraversalCounters totals;
+  totals.wide = true;
   parallel_region([&] {
     const std::int64_t span_start = obs::timestamp();
     auto out = next.handle();
@@ -258,15 +307,16 @@ template <typename WeightFn, typename Body>
 void for_each_work_item(std::span<const vid_t> items, WeightFn&& weight,
                         FrontierQueue<vid_t>& out, EdgePartition& partition,
                         Body&& body) {
-  if (serial_team()) {
+  const auto count = static_cast<std::int64_t>(items.size());
+  const auto item_weight = [&](std::int64_t i) {
+    return weight(items[static_cast<std::size_t>(i)]) + 1;
+  };
+  if (!run_wide(count, item_weight)) {
     DirectPush handle{out};
     for (const vid_t id : items) body(id, handle);
     return;
   }
-  const auto count = static_cast<std::int64_t>(items.size());
-  partition.build(count, [&](std::int64_t i) {
-    return weight(items[static_cast<std::size_t>(i)]) + 1;
-  });
+  partition.build(count, item_weight);
   parallel_region([&] {
     auto handle = out.handle();
     const EdgePartition::Range share =
@@ -311,7 +361,7 @@ TraversalCounters for_each_chunked(std::span<const vid_t> items, int chunk,
 /// thread-private out-queue: `body(v, handle)`.
 template <typename Body>
 void for_each_index(vid_t count, FrontierQueue<vid_t>& out, Body&& body) {
-  if (serial_team()) {
+  if (!run_wide(count)) {
     DirectPush handle{out};
     for (vid_t v = 0; v < count; ++v) body(v, handle);
     return;
@@ -328,7 +378,7 @@ void for_each_index(vid_t count, FrontierQueue<vid_t>& out, Body&& body) {
 template <typename Body>
 void for_each_index(vid_t count, FrontierQueue<vid_t>& first,
                     FrontierQueue<vid_t>& second, Body&& body) {
-  if (serial_team()) {
+  if (!run_wide(count)) {
     DirectPush first_handle{first};
     DirectPush second_handle{second};
     for (vid_t v = 0; v < count; ++v) body(v, first_handle, second_handle);
@@ -347,7 +397,7 @@ void for_each_index(vid_t count, FrontierQueue<vid_t>& first,
 template <typename Body>
 void for_each_index_dynamic(vid_t count, int chunk, FrontierQueue<vid_t>& out,
                             Body&& body) {
-  if (serial_team()) {
+  if (!run_wide(count)) {
     DirectPush handle{out};
     for (vid_t v = 0; v < count; ++v) body(v, handle);
     return;
@@ -372,7 +422,7 @@ void collect_if(vid_t count, FrontierQueue<vid_t>& out, Pred&& pred) {
 /// Parallel count of pred(v) over [0, count).
 template <typename Pred>
 std::int64_t count_if(vid_t count, Pred&& pred) {
-  if (serial_team()) {
+  if (!run_wide(count)) {
     std::int64_t total = 0;
     for (vid_t v = 0; v < count; ++v) total += pred(v) ? 1 : 0;
     return total;
@@ -396,12 +446,12 @@ std::int64_t count_if(vid_t count, Pred&& pred) {
 template <typename Body>
 void for_each_item(std::span<const vid_t> items, FrontierQueue<vid_t>& out,
                    Body&& body) {
-  if (serial_team()) {
+  const auto count = static_cast<std::int64_t>(items.size());
+  if (!run_wide(count)) {
     DirectPush handle{out};
     for (const vid_t v : items) body(v, handle);
     return;
   }
-  const auto count = static_cast<std::int64_t>(items.size());
   parallel_region([&] {
     auto handle = out.handle();
 #pragma omp for schedule(static)
@@ -416,19 +466,37 @@ void for_each_item(std::span<const vid_t> items, FrontierQueue<vid_t>& out,
 template <typename Body>
 void for_each_item(std::span<const vid_t> items, FrontierQueue<vid_t>& first,
                    FrontierQueue<vid_t>& second, Body&& body) {
-  if (serial_team()) {
+  const auto count = static_cast<std::int64_t>(items.size());
+  if (!run_wide(count)) {
     DirectPush first_handle{first};
     DirectPush second_handle{second};
     for (const vid_t v : items) body(v, first_handle, second_handle);
     return;
   }
-  const auto count = static_cast<std::int64_t>(items.size());
   parallel_region([&] {
     auto first_handle = first.handle();
     auto second_handle = second.handle();
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < count; ++i) {
       body(items[static_cast<std::size_t>(i)], first_handle, second_handle);
+    }
+  });
+}
+
+/// Queue-free sweep over an explicit item list (bitmap publishes and
+/// clears): `body(v, lane)`, where `lane` is InlineLane or TeamLane so
+/// the body picks its plain or atomic ops by type (runs_inline_v).
+template <typename Body>
+void for_each_item(std::span<const vid_t> items, Body&& body) {
+  const auto count = static_cast<std::int64_t>(items.size());
+  if (!run_wide(count)) {
+    for (const vid_t v : items) body(v, InlineLane{});
+    return;
+  }
+  parallel_region([&] {
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < count; ++i) {
+      body(items[static_cast<std::size_t>(i)], TeamLane{});
     }
   });
 }
@@ -463,7 +531,8 @@ void for_each_zero_bit(std::span<const std::uint64_t> words,
       body(base + bit, handle);
     }
   };
-  if (serial_team()) {
+  // One unit of work per bit: every hole may push a candidate.
+  if (!run_wide(bit_count)) {
     DirectPush handle{out};
     for (std::int64_t w = 0; w < word_count; ++w) scan_word(w, handle);
     return;

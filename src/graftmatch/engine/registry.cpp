@@ -288,6 +288,41 @@ void accumulate_block(RunStats& total, const RunStats& block) {
   total.step_seconds.graft += block.step_seconds.graft;
   total.step_seconds.statistics += block.step_seconds.statistics;
   total.step_seconds.other += block.step_seconds.other;
+
+  if (block.bookkeeping.collected) {
+    BookkeepingCounters& b = total.bookkeeping;
+    const BookkeepingCounters& add = block.bookkeeping;
+    // Warm only when every block ran on reused arrays.
+    b.workspace_warm = (b.collected ? b.workspace_warm : true) &&
+                       add.workspace_warm;
+    b.collected = true;
+    b.pool_builds += add.pool_builds;
+    b.pool_reinserts += add.pool_reinserts;
+    b.classified_y += add.classified_y;
+    b.counted_x += add.counted_x;
+    b.epoch_bumps += add.epoch_bumps;
+  }
+  if (block.direction.collected) {
+    DirectionCounters& d = total.direction;
+    const DirectionCounters& add = block.direction;
+    d.collected = true;
+    d.policy = add.policy;  // one config for every block
+    d.kernel = add.kernel;
+    d.decisions += add.decisions;
+    d.bottom_up_levels += add.bottom_up_levels;
+    d.switches += add.switches;
+    d.scout_edges += add.scout_edges;
+    d.awake_edges += add.awake_edges;
+    d.word_commits += add.word_commits;
+    d.word_fallbacks += add.word_fallbacks;
+  }
+  if (block.team.collected) {
+    TeamCounters& t = total.team;
+    t.collected = true;
+    t.inline_levels += block.team.inline_levels;
+    t.wide_levels += block.team.wide_levels;
+    t.regions += block.team.regions;
+  }
 }
 
 /// The sharded solve of one graph: initializer, DM classification,

@@ -78,7 +78,7 @@ WordScanCounters for_each_unvisited_word(const Adjacency& adj,
   WordScanCounters totals;
 
   const auto scan_word = [&](std::int64_t w, auto& out, auto& track,
-                             WordScanCounters& local, bool serial) {
+                             WordScanCounters& local) {
     std::uint64_t holes = ~visited.load_word(static_cast<std::size_t>(w));
     if (holes == 0) return;
     const std::int64_t base = w * kBits;
@@ -108,10 +108,12 @@ WordScanCounters for_each_unvisited_word(const Adjacency& adj,
     }
     if (want == 0) return;
     bool fell_back = false;
-    const std::uint64_t won =
-        serial ? visited.claim_word_serial(static_cast<std::size_t>(w), want)
-               : visited.claim_word(static_cast<std::size_t>(w), want,
-                                    &fell_back);
+    std::uint64_t won = 0;
+    if constexpr (runs_inline_v<decltype(out)>) {
+      won = visited.claim_word_serial(static_cast<std::size_t>(w), want);
+    } else {
+      won = visited.claim_word(static_cast<std::size_t>(w), want, &fell_back);
+    }
     if (won != 0) ++local.commits;
     if (fell_back) ++local.fallbacks;
     std::uint64_t grant = won;
@@ -125,14 +127,16 @@ WordScanCounters for_each_unvisited_word(const Adjacency& adj,
     }
   };
 
-  if (serial_team()) {
+  // Work bound: a probe per bit plus, at most, every adjacency entry.
+  if (!run_wide(bit_count + static_cast<std::int64_t>(adj.neighbors.size()))) {
     DirectPush out{next};
     DirectPush track{touched};
     for (std::int64_t w = 0; w < word_count; ++w) {
-      scan_word(w, out, track, totals, /*serial=*/true);
+      scan_word(w, out, track, totals);
     }
     return totals;
   }
+  totals.traversal.wide = true;
   parallel_region([&] {
     const std::int64_t span_start = obs::timestamp();
     auto out = next.handle();
@@ -140,7 +144,7 @@ WordScanCounters for_each_unvisited_word(const Adjacency& adj,
     WordScanCounters local;
 #pragma omp for schedule(dynamic, 32) nowait
     for (std::int64_t w = 0; w < word_count; ++w) {
-      scan_word(w, out, track, local, /*serial=*/false);
+      scan_word(w, out, track, local);
     }
     out.flush();
     track.flush();

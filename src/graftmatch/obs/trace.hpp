@@ -112,6 +112,10 @@ inline constexpr EventName kRebuildChosen{"rebuild_chosen", "active_x",
 inline constexpr EventName kWorkspacePrepared{"workspace_prepared", "warm",
                                               "runs"};
 inline constexpr EventName kPoolBuild{"pool_build", "candidates", nullptr};
+/// Run-end instant of MS-BFS-Graft's team use (RunStats::team): BFS
+/// levels that ran on the team (arg0) and parallel regions the solve
+/// opened (arg1); the other levels ran inline.
+inline constexpr EventName kTeam{"team", "wide_levels", "regions"};
 /// Kernelization pre-pass spans (src/graftmatch/reduce/). The whole
 /// pipeline (arg0 = ReduceMode as int), one span per reduction round
 /// (arg0 = 1-based round, arg1 on the End event = ops applied), the

@@ -230,7 +230,8 @@ class AtomicBitmap {
     return won;
   }
 
-  /// Serial counterpart of claim_word for single-thread teams.
+  /// Serial counterpart of claim_word for kernel calls that run inline
+  /// on the calling thread (engine/frontier_kernels.hpp).
   std::uint64_t claim_word_serial(std::size_t w, std::uint64_t mask) noexcept {
     std::uint64_t& word = words_[w];
     const std::uint64_t won = mask & ~word;
@@ -239,7 +240,7 @@ class AtomicBitmap {
   }
 
   /// claim()'s exactly-once result without the locked RMW, for
-  /// single-thread teams (the kernels' serial_team() fast paths) where
+  /// kernel calls that run inline on the calling thread, where
   /// test-then-set is trivially exactly-once.
   bool claim_serial(std::size_t i) noexcept {
     std::uint64_t& word = words_[i / kBitsPerWord];

@@ -52,6 +52,16 @@ inline std::atomic<std::uint64_t>& region_epoch() noexcept {
   return ambient_session().region_epoch();
 }
 
+/// Count of parallel_region() calls the CALLING thread has opened, in
+/// any session. A solver snapshots it to count the regions it opens
+/// itself (RunStats::team.regions). Unlike region_epoch(), sibling
+/// solves that share a session from other host threads -- the shard/
+/// block pool -- do not move it.
+inline std::uint64_t& regions_opened_here() noexcept {
+  thread_local std::uint64_t opened = 0;
+  return opened;
+}
+
 /// Runs `fn()` on every thread of an OpenMP parallel team. This is the
 /// library's only way to open a parallel region; `#pragma omp for`
 /// inside `fn` binds to the team as an orphaned worksharing construct.
@@ -110,6 +120,7 @@ inline void parallel_region(int num_threads, Fn&& fn) {
   const int team = num_threads > 0 ? num_threads : omp_get_max_threads();
   session.team_width().store(team, std::memory_order_relaxed);
   session.region_epoch().fetch_add(1, std::memory_order_relaxed);
+  ++regions_opened_here();
   auto body = [&session, &fn] {
     const SessionScope bind(session);
     if (omp_get_thread_num() == 0) {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "graftmatch/baselines/hopcroft_karp.hpp"
 #include "graftmatch/core/ms_bfs_graft.hpp"
+#include "graftmatch/engine/edge_partition.hpp"
 #include "graftmatch/gen/chung_lu.hpp"
 #include "graftmatch/gen/grid.hpp"
 #include "graftmatch/gen/webcrawl.hpp"
@@ -331,6 +333,33 @@ TEST(MsBfsGraft, InvariantAuditOnScientificClass) {
   config.check_invariants = true;
   Matching m = randomized_greedy(g, 1);
   EXPECT_NO_THROW(ms_bfs_graft(g, m, config));
+}
+
+// Team width is chosen per kernel call from its edge mass: a graph far
+// below engine::kMinTeamWork never runs a level on the team, whatever
+// the thread count, and its only regions are the per-phase augments.
+TEST(MsBfsGraft, SmallGraphRunsEveryLevelInline) {
+  WebCrawlParams params;
+  params.nx = params.ny = 600;
+  params.seed = 4;
+  const BipartiteGraph g = generate_webcrawl(params);
+  ASSERT_LT(g.num_edges(), engine::kMinTeamWork);
+  for (const int threads : {1, 4}) {
+    RunConfig config;
+    config.threads = threads;
+    Matching m(g.num_x(), g.num_y());
+    const RunStats stats = ms_bfs_graft(g, m, config);
+    Matching oracle(g.num_x(), g.num_y());
+    hopcroft_karp(g, oracle);
+    EXPECT_EQ(m.cardinality(), oracle.cardinality()) << threads;
+    ASSERT_TRUE(stats.team.collected);
+    EXPECT_EQ(stats.team.wide_levels, 0) << threads;
+    EXPECT_EQ(stats.team.inline_levels, stats.direction.decisions) << threads;
+    EXPECT_EQ(stats.team.regions, stats.phases) << threads;
+    const std::string json = run_stats_json(stats);
+    EXPECT_NE(json.find("\"team\":{\"inline_levels\":"), std::string::npos)
+        << json;
+  }
 }
 
 TEST(MsBfsGraft, PinningPolicyDoesNotAffectResult) {

@@ -411,6 +411,57 @@ TEST(RunSharded, ComposesWithReduce) {
   EXPECT_TRUE(stats.shard.collected);
 }
 
+// The sharded total must fold every per-block counter block, not only
+// the phase/edge/step totals. Replay the blocks by hand (same
+// initializer, same payoff cap, same one-thread config, so every solve
+// is deterministic) and compare the sums.
+TEST(RunSharded, BlockCountersFoldIntoTheTotal) {
+  const BipartiteGraph g = islands(11, 32, 64, 64);
+  RunConfig config;
+  config.seed = 2;
+  config.threads = 1;
+  config.shard = ShardMode::kDm;
+  Matching m;
+  const RunStats stats = engine::run_sharded("graft", "rgreedy", g, m, config);
+  ASSERT_FALSE(stats.shard.fallback);
+  ASSERT_GE(stats.shard.blocks_solved, 2);
+
+  const Matching m0 = engine::make_initial_matching("rgreedy", g, config);
+  const shard::ShardClassification c =
+      shard::classify_shards(g, m0, g.num_edges() / 16);
+  const std::vector<shard::ShardBlock> blocks =
+      shard::extract_blocks(g, m0, c);
+  ASSERT_EQ(static_cast<std::int64_t>(blocks.size()),
+            stats.shard.blocks_solved);
+  RunStats sum;
+  for (const shard::ShardBlock& block : blocks) {
+    Matching local = block.initial;
+    const RunStats b =
+        engine::find_solver("graft").run(block.graph, local, config);
+    sum.direction.decisions += b.direction.decisions;
+    sum.direction.bottom_up_levels += b.direction.bottom_up_levels;
+    sum.direction.switches += b.direction.switches;
+    sum.bookkeeping.classified_y += b.bookkeeping.classified_y;
+    sum.bookkeeping.epoch_bumps += b.bookkeeping.epoch_bumps;
+    sum.team.inline_levels += b.team.inline_levels;
+    sum.team.wide_levels += b.team.wide_levels;
+    sum.team.regions += b.team.regions;
+  }
+  ASSERT_GT(sum.direction.decisions, 0);
+  EXPECT_TRUE(stats.direction.collected);
+  EXPECT_EQ(stats.direction.decisions, sum.direction.decisions);
+  EXPECT_EQ(stats.direction.bottom_up_levels, sum.direction.bottom_up_levels);
+  EXPECT_EQ(stats.direction.switches, sum.direction.switches);
+  EXPECT_TRUE(stats.bookkeeping.collected);
+  EXPECT_EQ(stats.bookkeeping.classified_y, sum.bookkeeping.classified_y);
+  EXPECT_EQ(stats.bookkeeping.epoch_bumps, sum.bookkeeping.epoch_bumps);
+  EXPECT_TRUE(stats.team.collected);
+  EXPECT_EQ(stats.team.inline_levels, sum.team.inline_levels);
+  EXPECT_EQ(stats.team.wide_levels, 0);  // one thread never runs wide
+  EXPECT_EQ(stats.team.regions, sum.team.regions);
+  EXPECT_EQ(stats.team.inline_levels, stats.direction.decisions);
+}
+
 TEST(RunSharded, SaturatedStartSkipsTheSolve) {
   // A graph whose greedy matching saturates one side: run_sharded must
   // return immediately with the maximality certificate, zero blocks.
