@@ -324,10 +324,12 @@ int main(int argc, char** argv) {
              config.shard == ShardMode::kNone) {
     const Timer init_timer;
     matching = make_initial(init, graph, config);
+    const double init_seconds = init_timer.elapsed();
     std::printf("init (%s): |M| = %lld in %s\n", init.c_str(),
                 static_cast<long long>(matching.cardinality()),
-                format_seconds(init_timer.elapsed()).c_str());
+                format_seconds(init_seconds).c_str());
     stats = run_algorithm(algo, graph, matching, config);
+    stats.init_seconds = init_seconds;
   } else {
     // run_sharded owns the whole pipeline: reduce, init + (sharded)
     // solve on the kernel, reconstruct on the original graph.

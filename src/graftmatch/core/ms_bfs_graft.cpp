@@ -595,30 +595,41 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
       if (config.collect_path_histogram) {
         path_lengths.assign(static_cast<std::size_t>(count), 0);
       }
-      // Paths live in vertex-disjoint trees: flip them in parallel.
-      parallel_region([&] {
-        std::int64_t local_path_edges = 0;
-#pragma omp for schedule(dynamic, 8)
-        for (std::int64_t i = 0; i < count; ++i) {
-          const vid_t r = roots[static_cast<std::size_t>(i)];
-          vid_t y = ws.leaf[static_cast<std::size_t>(r)];
-          std::int64_t path_edges = 0;
-          while (y != kInvalidVertex) {
-            const vid_t x = ws.parent[static_cast<std::size_t>(y)];
-            const vid_t next_y = state.mate_x[static_cast<std::size_t>(x)];
-            state.mate_x[static_cast<std::size_t>(x)] = y;
-            state.mate_y[static_cast<std::size_t>(y)] = x;
-            ++path_edges;
-            if (next_y != kInvalidVertex) ++path_edges;
-            y = next_y;
-          }
-          local_path_edges += path_edges;
-          if (config.collect_path_histogram) {
-            path_lengths[static_cast<std::size_t>(i)] = path_edges;
-          }
+      // Flip the i-th renewable tree's path; returns its edge count.
+      const auto flip = [&](std::int64_t i) {
+        const vid_t r = roots[static_cast<std::size_t>(i)];
+        vid_t y = ws.leaf[static_cast<std::size_t>(r)];
+        std::int64_t path_edges = 0;
+        while (y != kInvalidVertex) {
+          const vid_t x = ws.parent[static_cast<std::size_t>(y)];
+          const vid_t next_y = state.mate_x[static_cast<std::size_t>(x)];
+          state.mate_x[static_cast<std::size_t>(x)] = y;
+          state.mate_y[static_cast<std::size_t>(y)] = x;
+          ++path_edges;
+          if (next_y != kInvalidVertex) ++path_edges;
+          y = next_y;
         }
-        fetch_add_relaxed(path_edges_total, local_path_edges);
-      });
+        if (config.collect_path_histogram) {
+          path_lengths[static_cast<std::size_t>(i)] = path_edges;
+        }
+        return path_edges;
+      };
+      // Paths live in vertex-disjoint trees, so they may flip in
+      // parallel. The work is estimated as one path of 2 * levels + 1
+      // edges per root (exact for trees grown this phase); under
+      // kMinTeamWork the flips run inline.
+      if (engine::run_wide(count * (2 * phase_row.levels + 1))) {
+        parallel_region([&] {
+          std::int64_t local_path_edges = 0;
+#pragma omp for schedule(dynamic, 8)
+          for (std::int64_t i = 0; i < count; ++i) {
+            local_path_edges += flip(i);
+          }
+          fetch_add_relaxed(path_edges_total, local_path_edges);
+        });
+      } else {
+        for (std::int64_t i = 0; i < count; ++i) path_edges_total += flip(i);
+      }
       stats.augmentations += count;
       stats.total_path_edges += path_edges_total;
       phase_row.augmentations = count;

@@ -176,6 +176,8 @@ std::string run_stats_json(const RunStats& stats) {
       << ",\"final_cardinality\":" << stats.final_cardinality
       << ",\"threads_used\":" << stats.threads_used << ",\"seconds\":";
   append_number(out, stats.seconds);
+  out << ",\"init_seconds\":";
+  append_number(out, stats.init_seconds);
   out << ",\"avg_path_length\":";
   append_number(out, stats.avg_path_length());
   out << ",\"mteps\":";

@@ -358,6 +358,11 @@ struct RunStats {
   int threads_used = 0;
 
   double seconds = 0.0;  ///< total wall time of the matching run
+  /// Wall time of the in-run initializer (engine::run and its reduce,
+  /// shard and DM block paths). Outside `seconds` on the plain and
+  /// reduce paths, inside it on the sharded ones; 0 for a bare solver
+  /// call, which is handed its initial matching.
+  double init_seconds = 0.0;
   StepSeconds step_seconds;
 
   /// Trace-derived counters (see ObsCounters). Stamped by StatsSink

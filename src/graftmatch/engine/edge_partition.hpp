@@ -36,14 +36,11 @@
 
 namespace graftmatch::engine {
 
-/// Smallest kernel call, in edge mass, that runs on the thread team.
-/// A call with less work runs inline on the calling thread: opening a
-/// region, building its partition and joining the team costs more than
-/// splitting a few thousand adjacency entries saves (docs/PERFORMANCE.md
-/// has the sweep that chose the value). It is also the list length
-/// below which a call's edge mass is summed serially, so the measuring
-/// pass never needs a team of its own.
-inline constexpr std::int64_t kMinTeamWork = 65536;
+/// Smallest kernel call, in edge mass, that runs on the thread team
+/// (runtime/parallel.hpp). It is also the list length below which a
+/// call's edge mass is summed serially, so the measuring pass never
+/// needs a team of its own.
+using graftmatch::kMinTeamWork;
 
 /// Item boundaries for splitting `prefix` (an inclusive degree prefix
 /// sum of size items+1, prefix[0] == 0) into `parts` contiguous item

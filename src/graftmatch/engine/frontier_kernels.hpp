@@ -105,9 +105,7 @@ inline bool serial_team() noexcept { return omp_get_max_threads() == 1; }
 /// launch; a one-thread team always runs inline (there the partitioner
 /// is pure overhead -- an extra O(frontier) pass per level costs ~30%
 /// of the serial search rate on uniform-degree graphs, see bench_fig4).
-inline bool run_wide(std::int64_t work) noexcept {
-  return work >= kMinTeamWork && !serial_team();
-}
+inline bool run_wide(std::int64_t work) noexcept { return team_pays(work); }
 
 /// The same rule for `count` items of `weight(i)` edges each. A list of
 /// kMinTeamWork items or more is wide whatever its degrees (every item

@@ -340,7 +340,9 @@ RunStats solve_sharded_graph(SessionContext& session,
   counters.collected = true;
   counters.mode = ShardMode::kDm;
 
+  const Timer init_timer;
   matching = make_initial_matching(session, initializer_name, g, config);
+  const double init_seconds = init_timer.elapsed();
   const std::int64_t initial_cardinality = matching.cardinality();
 
   // Saturating one side is a maximality certificate: no augmenting path
@@ -352,6 +354,7 @@ RunStats solve_sharded_graph(SessionContext& session,
     stats.initial_cardinality = initial_cardinality;
     stats.final_cardinality = initial_cardinality;
     stats.seconds = total_timer.elapsed();
+    stats.init_seconds = init_seconds;
     stats.shard = counters;
     return stats;
   }
@@ -516,6 +519,7 @@ RunStats solve_sharded_graph(SessionContext& session,
   }
 
   stats.seconds = total_timer.elapsed();
+  stats.init_seconds = init_seconds;
   stats.shard = counters;
   return stats;
 }
@@ -528,17 +532,19 @@ RunStats run_reduced(SessionContext& session,
                      const BipartiteGraph& g, Matching& matching,
                      const RunConfig& config) {
   const SolverInfo& solver = find_solver(solver_name);
-  if (config.reduce == ReduceMode::kNone) {
-    matching = make_initial_matching(session, initializer_name, g, config);
-    return solver.run(session, g, matching, config);
-  }
-  return reduce_pipeline(
-      session, g, matching, config, "reduce+" + solver.name,
-      [&](const BipartiteGraph& solve_g, Matching& kernel_matching) {
-        kernel_matching =
-            make_initial_matching(session, initializer_name, solve_g, config);
-        return solver.run(session, solve_g, kernel_matching, config);
-      });
+  const auto init_and_solve = [&](const BipartiteGraph& solve_g,
+                                  Matching& solve_matching) {
+    const Timer init_timer;
+    solve_matching =
+        make_initial_matching(session, initializer_name, solve_g, config);
+    const double init_seconds = init_timer.elapsed();
+    RunStats stats = solver.run(session, solve_g, solve_matching, config);
+    stats.init_seconds = init_seconds;
+    return stats;
+  };
+  if (config.reduce == ReduceMode::kNone) return init_and_solve(g, matching);
+  return reduce_pipeline(session, g, matching, config, "reduce+" + solver.name,
+                         init_and_solve);
 }
 
 RunStats run_reduced(const std::string& solver_name,

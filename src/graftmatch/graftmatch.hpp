@@ -16,6 +16,7 @@
 #include "graftmatch/graph/bipartite_graph.hpp"
 #include "graftmatch/graph/edge_list.hpp"
 #include "graftmatch/graph/graph_stats.hpp"
+#include "graftmatch/graph/induced_subgraph.hpp"
 #include "graftmatch/graph/matching.hpp"
 #include "graftmatch/graph/matching_io.hpp"
 #include "graftmatch/graph/mm_io.hpp"

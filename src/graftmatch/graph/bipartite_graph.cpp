@@ -2,83 +2,52 @@
 
 #include <algorithm>
 #include <stdexcept>
-
-#include "graftmatch/runtime/atomics.hpp"
-#include "graftmatch/runtime/parallel.hpp"
+#include <utility>
 
 namespace graftmatch {
 namespace {
 
-// Below this many edges the counting sort runs serially: opening
-// parallel regions costs more than the work they would split, and the
-// reduce/ property tests build hundreds of thousands of tiny kernels.
-// Either path produces identical arrays.
-constexpr std::int64_t kSerialBuildThreshold = 1 << 12;
-
-// Counting-sort one CSR side from a deduplicated edge list.
-// key(e) selects the source vertex, value(e) the stored neighbor.
-template <typename Key, typename Value>
-void build_side(const std::vector<Edge>& edges, vid_t n,
-                std::vector<eid_t>& offsets, std::vector<vid_t>& neighbors,
-                Key key, Value value) {
-  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  const std::int64_t m = static_cast<std::int64_t>(edges.size());
-
-  if (m < kSerialBuildThreshold) {
-    for (const Edge& e : edges) {
-      ++offsets[static_cast<std::size_t>(key(e)) + 1];
-    }
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-      offsets[v + 1] += offsets[v];
-    }
-    neighbors.resize(static_cast<std::size_t>(m));
-    std::vector<eid_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Edge& e : edges) {
-      neighbors[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(key(e))]++)] = value(e);
-    }
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-      std::sort(neighbors.begin() + offsets[v],
-                neighbors.begin() + offsets[v + 1]);
-    }
-    return;
+// Transpose a canonical CSR (rows strictly ascending): entry r of the
+// result lists, ascending, every row that holds column r. One serial
+// counting pass with plain stores -- count, prefix-sum, scatter -- and
+// the scatter walks the rows in ascending order, so every transposed
+// row comes out sorted without a sort pass. A parallel scatter needs a
+// locked fetch_add per edge into randomly placed slots and measured
+// several times slower than this loop on four threads
+// (docs/PERFORMANCE.md).
+void transpose(const std::vector<eid_t>& offsets,
+               const std::vector<vid_t>& neighbors, vid_t columns,
+               std::vector<eid_t>& t_offsets, std::vector<vid_t>& t_neighbors) {
+  t_offsets.assign(static_cast<std::size_t>(columns) + 1, 0);
+  for (const vid_t c : neighbors) ++t_offsets[static_cast<std::size_t>(c) + 1];
+  for (std::size_t c = 0; c < static_cast<std::size_t>(columns); ++c) {
+    t_offsets[c + 1] += t_offsets[c];
   }
-
-  parallel_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < m; ++i) {
-      fetch_add_relaxed(
-          offsets[static_cast<std::size_t>(
-                      key(edges[static_cast<std::size_t>(i)])) + 1],
-          eid_t{1});
+  t_neighbors.resize(neighbors.size());
+  std::vector<eid_t> cursor(t_offsets.begin(), t_offsets.end() - 1);
+  const auto rows = static_cast<vid_t>(offsets.size()) - 1;
+  for (vid_t r = 0; r < rows; ++r) {
+    for (eid_t k = offsets[static_cast<std::size_t>(r)];
+         k < offsets[static_cast<std::size_t>(r) + 1]; ++k) {
+      const vid_t c = neighbors[static_cast<std::size_t>(k)];
+      t_neighbors[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(c)]++)] = r;
     }
-  });
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    offsets[v + 1] += offsets[v];
   }
-
-  neighbors.resize(static_cast<std::size_t>(m));
-  std::vector<eid_t> cursor(offsets.begin(), offsets.end() - 1);
-  parallel_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < m; ++i) {
-      const Edge& e = edges[static_cast<std::size_t>(i)];
-      const eid_t slot =
-          fetch_add_relaxed(cursor[static_cast<std::size_t>(key(e))], eid_t{1});
-      neighbors[static_cast<std::size_t>(slot)] = value(e);
-    }
-  });
-
-  parallel_region([&] {
-#pragma omp for schedule(dynamic, 1024)
-    for (std::int64_t v = 0; v < n; ++v) {
-      std::sort(neighbors.begin() + offsets[static_cast<std::size_t>(v)],
-                neighbors.begin() + offsets[static_cast<std::size_t>(v) + 1]);
-    }
-  });
 }
 
 }  // namespace
+
+BipartiteGraph::BipartiteGraph(vid_t nx, vid_t ny, std::vector<eid_t> x_offsets,
+                               std::vector<vid_t> x_neighbors,
+                               std::vector<eid_t> y_offsets,
+                               std::vector<vid_t> y_neighbors)
+    : nx_(nx),
+      ny_(ny),
+      x_offsets_(std::move(x_offsets)),
+      x_neighbors_(std::move(x_neighbors)),
+      y_offsets_(std::move(y_offsets)),
+      y_neighbors_(std::move(y_neighbors)) {}
 
 BipartiteGraph BipartiteGraph::from_edges(const EdgeList& list) {
   if (list.nx < 0 || list.ny < 0) {
@@ -91,15 +60,21 @@ BipartiteGraph BipartiteGraph::from_edges(const EdgeList& list) {
   EdgeList canonical = list;
   canonical.canonicalize();
 
+  // The canonical list is sorted by (x, y): its y column, in order, is
+  // the X side's neighbor array, and counting x gives the offsets.
   BipartiteGraph g;
   g.nx_ = canonical.nx;
   g.ny_ = canonical.ny;
-  build_side(
-      canonical.edges, g.nx_, g.x_offsets_, g.x_neighbors_,
-      [](const Edge& e) { return e.x; }, [](const Edge& e) { return e.y; });
-  build_side(
-      canonical.edges, g.ny_, g.y_offsets_, g.y_neighbors_,
-      [](const Edge& e) { return e.y; }, [](const Edge& e) { return e.x; });
+  g.x_offsets_.assign(static_cast<std::size_t>(g.nx_) + 1, 0);
+  g.x_neighbors_.reserve(canonical.edges.size());
+  for (const Edge& e : canonical.edges) {
+    ++g.x_offsets_[static_cast<std::size_t>(e.x) + 1];
+    g.x_neighbors_.push_back(e.y);
+  }
+  for (std::size_t x = 0; x < static_cast<std::size_t>(g.nx_); ++x) {
+    g.x_offsets_[x + 1] += g.x_offsets_[x];
+  }
+  transpose(g.x_offsets_, g.x_neighbors_, g.ny_, g.y_offsets_, g.y_neighbors_);
   return g;
 }
 
@@ -141,42 +116,24 @@ BipartiteGraph BipartiteGraph::from_canonical_csr(
     throw std::invalid_argument("from_canonical_csr: negative part size");
   }
   const vid_t nx = static_cast<vid_t>(offsets.size()) - 1;
-  const std::int64_t m = static_cast<std::int64_t>(neighbors.size());
 
   // Validate per row: nondecreasing offsets, strictly ascending
-  // neighbors in range. The flag merges with relaxed stores; the
-  // region's join edge orders them before the serial read.
-  std::atomic<bool> malformed{false};
-  const auto check_row = [&](vid_t x) {
+  // neighbors in range.
+  for (vid_t x = 0; x < nx; ++x) {
     const eid_t begin = offsets[static_cast<std::size_t>(x)];
     const eid_t end = offsets[static_cast<std::size_t>(x) + 1];
-    if (begin > end) {
-      malformed.store(true, std::memory_order_relaxed);
-      return;
-    }
+    bool malformed = begin > end;
     vid_t previous = -1;
-    for (eid_t k = begin; k < end; ++k) {
+    for (eid_t k = begin; k < end && !malformed; ++k) {
       const vid_t y = neighbors[static_cast<std::size_t>(k)];
-      if (y <= previous || y >= ny) {
-        malformed.store(true, std::memory_order_relaxed);
-        return;
-      }
+      malformed = y <= previous || y >= ny;
       previous = y;
     }
-  };
-  if (m < kSerialBuildThreshold) {
-    for (vid_t x = 0; x < nx; ++x) check_row(x);
-  } else {
-    parallel_region([&] {
-#pragma omp for schedule(static)
-      for (std::int64_t x = 0; x < nx; ++x) {
-        check_row(static_cast<vid_t>(x));
-      }
-    });
-  }
-  if (malformed.load(std::memory_order_relaxed)) {
-    throw std::invalid_argument(
-        "from_canonical_csr: rows must be sorted, duplicate-free, in range");
+    if (malformed) {
+      throw std::invalid_argument(
+          "from_canonical_csr: rows must be sorted, duplicate-free, in "
+          "range");
+    }
   }
 
   BipartiteGraph g;
@@ -184,65 +141,7 @@ BipartiteGraph BipartiteGraph::from_canonical_csr(
   g.ny_ = ny;
   g.x_offsets_ = std::move(offsets);
   g.x_neighbors_ = std::move(neighbors);
-
-  // Derive the Y side with the same counting-sort pattern as
-  // build_side, iterating rows of the adopted X CSR.
-  g.y_offsets_.assign(static_cast<std::size_t>(ny) + 1, 0);
-  g.y_neighbors_.resize(static_cast<std::size_t>(m));
-  if (m < kSerialBuildThreshold) {
-    for (const vid_t y : g.x_neighbors_) {
-      ++g.y_offsets_[static_cast<std::size_t>(y) + 1];
-    }
-    for (std::size_t v = 0; v < static_cast<std::size_t>(ny); ++v) {
-      g.y_offsets_[v + 1] += g.y_offsets_[v];
-    }
-    std::vector<eid_t> cursor(g.y_offsets_.begin(), g.y_offsets_.end() - 1);
-    for (vid_t x = 0; x < nx; ++x) {
-      for (const vid_t y : g.neighbors_of_x(x)) {
-        g.y_neighbors_[static_cast<std::size_t>(
-            cursor[static_cast<std::size_t>(y)]++)] = x;
-      }
-    }
-    // X rows are scanned in ascending order, so each Y row is already
-    // sorted; no per-row sort needed on the serial path.
-    return g;
-  }
-
-  parallel_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t k = 0; k < m; ++k) {
-      fetch_add_relaxed(
-          g.y_offsets_[static_cast<std::size_t>(
-                           g.x_neighbors_[static_cast<std::size_t>(k)]) + 1],
-          eid_t{1});
-    }
-  });
-  for (std::size_t v = 0; v < static_cast<std::size_t>(ny); ++v) {
-    g.y_offsets_[v + 1] += g.y_offsets_[v];
-  }
-  std::vector<eid_t> cursor(g.y_offsets_.begin(), g.y_offsets_.end() - 1);
-  parallel_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t x = 0; x < nx; ++x) {
-      for (const vid_t y : g.neighbors_of_x(static_cast<vid_t>(x))) {
-        const eid_t slot =
-            fetch_add_relaxed(cursor[static_cast<std::size_t>(y)], eid_t{1});
-        g.y_neighbors_[static_cast<std::size_t>(slot)] =
-            static_cast<vid_t>(x);
-      }
-    }
-  });
-  // Separate region: the sort reads slots other threads scattered, and
-  // only the region join edge makes that handoff TSan-visible.
-  parallel_region([&] {
-#pragma omp for schedule(dynamic, 1024)
-    for (std::int64_t y = 0; y < ny; ++y) {
-      std::sort(
-          g.y_neighbors_.begin() + g.y_offsets_[static_cast<std::size_t>(y)],
-          g.y_neighbors_.begin() +
-              g.y_offsets_[static_cast<std::size_t>(y) + 1]);
-    }
-  });
+  transpose(g.x_offsets_, g.x_neighbors_, ny, g.y_offsets_, g.y_neighbors_);
   return g;
 }
 

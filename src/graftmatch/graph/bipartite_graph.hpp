@@ -8,6 +8,7 @@
 // undirected edges) and num_directed_edges() returns the paper's m.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -16,13 +17,22 @@
 
 namespace graftmatch {
 
+struct InducedSubgraph;
+class BipartiteGraph;
+
+/// See graph/induced_subgraph.hpp.
+std::vector<InducedSubgraph> induced_subgraphs(
+    const BipartiteGraph& g, std::span<const std::int32_t> x_part,
+    std::span<const std::int32_t> y_part, std::int32_t parts);
+
 class BipartiteGraph {
  public:
   BipartiteGraph() = default;
 
   /// Build from an edge list. Duplicate edges are merged. Endpoints are
   /// validated; throws std::invalid_argument on out-of-range vertices.
-  /// Construction runs in parallel (counting sort per side).
+  /// The list is canonicalized (sorted by (x, y)), which gives the X
+  /// side as-is; the Y side is its serial counting transpose.
   static BipartiteGraph from_edges(const EdgeList& edges);
 
   /// Build directly from an X-side CSR (offsets of size nx+1, neighbors
@@ -35,8 +45,8 @@ class BipartiteGraph {
   /// Build from an already-canonical X-side CSR: offsets framing
   /// neighbors, every row sorted strictly ascending, ids in [0, ny).
   /// The arrays are adopted without a canonicalization sort (the
-  /// validation and the derived Y side are O(n + m), parallel), which
-  /// is what the kernel compaction in reduce/ relies on. Throws
+  /// validation and the derived Y side are serial O(n + m) passes),
+  /// which is what the overlay compaction in dynamic/ relies on. Throws
   /// std::invalid_argument when the input is not canonical.
   static BipartiteGraph from_canonical_csr(std::vector<eid_t> offsets,
                                            std::vector<vid_t> neighbors,
@@ -90,6 +100,15 @@ class BipartiteGraph {
   std::int64_t memory_bytes() const noexcept;
 
  private:
+  friend std::vector<InducedSubgraph> induced_subgraphs(
+      const BipartiteGraph& g, std::span<const std::int32_t> x_part,
+      std::span<const std::int32_t> y_part, std::int32_t parts);
+
+  /// Adopt both sides as they are (the induced builder's output).
+  BipartiteGraph(vid_t nx, vid_t ny, std::vector<eid_t> x_offsets,
+                 std::vector<vid_t> x_neighbors, std::vector<eid_t> y_offsets,
+                 std::vector<vid_t> y_neighbors);
+
   vid_t nx_ = 0;
   vid_t ny_ = 0;
   std::vector<eid_t> x_offsets_;  ///< size nx+1

@@ -6,18 +6,19 @@
 #include <utility>
 
 #include "graftmatch/graph/edge_list.hpp"
+#include "graftmatch/graph/induced_subgraph.hpp"
 #include "graftmatch/obs/trace.hpp"
-#include "graftmatch/runtime/atomics.hpp"
 #include "graftmatch/runtime/parallel.hpp"
 #include "graftmatch/runtime/timer.hpp"
 
 namespace graftmatch::reduce {
 namespace {
 
-// Below this many edges every phase runs serially; the property and
-// exhaustive tests reduce hundreds of thousands of tiny graphs, and a
-// fork/join per round would dominate. Results are identical either way
-// (classification is read-only; application is always serial).
+// Below this many edges the reduction rounds run serially; the
+// property and exhaustive tests reduce hundreds of thousands of tiny
+// graphs, and a fork/join per round would dominate. Results are
+// identical either way (classification is read-only; application is
+// always serial).
 constexpr std::int64_t kSerialThreshold = 1 << 12;
 
 /// Read-only union-find lookup, safe to call from parallel
@@ -318,6 +319,11 @@ class Reducer {
       return;
     }
 
+    if (fold_) {
+      compact_folded(out);
+      return;
+    }
+
     // Payoff gate (d1 only; the fold mode is opt-in and reported
     // as-is): compaction is a full O(n + m) CSR rebuild, so a
     // reduction that barely shrank the graph costs more than the
@@ -327,34 +333,58 @@ class Reducer {
     // preserving, since the solver then sees every vertex the rules
     // would have matched. 1/8 tracks the break-even observed on the
     // bench suite (bench_reduce_gain).
-    if (!fold_) {
-      eid_t kernel_edges = 0;
-      for (vid_t x = 0; x < g_.num_x(); ++x) {
-        if (alive_x_[static_cast<std::size_t>(x)]) {
-          kernel_edges += deg_[static_cast<std::size_t>(x)];
-        }
-      }
-      // Each forced match removed one X and one Y; isolated X removed
-      // themselves. (Isolated Y are only discovered during compaction
-      // and count toward neither side of the gate.)
-      const vid_t removed_vertices =
-          2 * static_cast<vid_t>(stats_.forced_matches) + stats_.isolated_x;
-      const bool edges_worth =
-          (g_.num_edges() - kernel_edges) * 8 >= g_.num_edges();
-      const bool vertices_worth =
-          removed_vertices * 8 >= g_.num_vertices();
-      if (!edges_worth && !vertices_worth) {
-        ops_.clear();
-        stats_.forced_matches = 0;
-        stats_.isolated_x = 0;
-        out.identity = true;
-        return;
+    eid_t kernel_edges = 0;
+    for (vid_t x = 0; x < g_.num_x(); ++x) {
+      if (alive_x_[static_cast<std::size_t>(x)]) {
+        kernel_edges += deg_[static_cast<std::size_t>(x)];
       }
     }
+    // Each forced match removed one X and one Y; isolated X removed
+    // themselves. (Isolated Y are only discovered during compaction
+    // and count toward neither side of the gate.)
+    const vid_t removed_vertices =
+        2 * static_cast<vid_t>(stats_.forced_matches) + stats_.isolated_x;
+    const bool edges_worth =
+        (g_.num_edges() - kernel_edges) * 8 >= g_.num_edges();
+    const bool vertices_worth =
+        removed_vertices * 8 >= g_.num_vertices();
+    if (!edges_worth && !vertices_worth) {
+      ops_.clear();
+      stats_.forced_matches = 0;
+      stats_.isolated_x = 0;
+      out.identity = true;
+      return;
+    }
 
+    // d1 path: the kernel is the subgraph induced by the live vertices
+    // (classes are singleton Y vertices), gathered from the original's
+    // sorted rows. A live Y vertex with no live edge drops out: its
+    // removal cannot cascade (it changes no X degree), so the rounds
+    // above never need to look at the Y side.
+    std::vector<std::int32_t> x_part(static_cast<std::size_t>(g_.num_x()));
+    for (std::size_t x = 0; x < x_part.size(); ++x) {
+      x_part[x] = alive_x_[x] ? 0 : -1;
+    }
+    std::vector<std::int32_t> y_part(static_cast<std::size_t>(g_.num_y()));
+    vid_t live_y = 0;
+    for (std::size_t y = 0; y < y_part.size(); ++y) {
+      y_part[y] = class_alive_[y] ? 0 : -1;
+      live_y += class_alive_[y];
+    }
+    InducedSubgraph kernel = std::move(
+        induced_subgraphs(g_, x_part, y_part, 1).front());
+    out.kernel = std::move(kernel.graph);
+    out.kernel_x_to_orig = std::move(kernel.x_ids);
+    out.kernel_y_to_rep = std::move(kernel.y_ids);
+    stats_.isolated_y = live_y - out.kernel.num_y();
+  }
+
+  /// d1d2 compaction: merged classes break row sortedness and can
+  /// duplicate kernel edges, so go through from_edges (which merges
+  /// duplicates). Serial; the fold mode is opt-in.
+  void compact_folded(Reduction& out) {
     const vid_t nx = g_.num_x();
     const vid_t ny = g_.num_y();
-
     std::vector<vid_t> x_to_kernel(static_cast<std::size_t>(nx),
                                    kInvalidVertex);
     for (vid_t x = 0; x < nx; ++x) {
@@ -363,95 +393,7 @@ class Reducer {
           static_cast<vid_t>(out.kernel_x_to_orig.size());
       out.kernel_x_to_orig.push_back(x);
     }
-    const auto knx = static_cast<vid_t>(out.kernel_x_to_orig.size());
 
-    if (fold_) {
-      compact_folded(out, knx, x_to_kernel);
-      return;
-    }
-
-    // d1 path: classes are singleton original Y vertices, so kernel
-    // rows stay sorted and duplicate-free and the CSR can be built
-    // directly (and in parallel) without a canonicalization sort.
-    std::vector<eid_t> counts(static_cast<std::size_t>(knx), 0);
-    std::vector<std::uint8_t> used(static_cast<std::size_t>(ny), 0);
-    const auto count_row = [&](vid_t i) {
-      const vid_t x = out.kernel_x_to_orig[static_cast<std::size_t>(i)];
-      eid_t degree = 0;
-      for (const vid_t y : g_.neighbors_of_x(x)) {
-        if (!class_alive_[static_cast<std::size_t>(y)]) continue;
-        ++degree;
-        // Benign same-value race across rows sharing a neighbor.
-        relaxed_store(used[static_cast<std::size_t>(y)], std::uint8_t{1});
-      }
-      counts[static_cast<std::size_t>(i)] = degree;
-    };
-    if (serial_) {
-      for (vid_t i = 0; i < knx; ++i) count_row(i);
-    } else {
-      parallel_region([&] {
-#pragma omp for schedule(dynamic, 512)
-        for (std::int64_t i = 0; i < knx; ++i) {
-          count_row(static_cast<vid_t>(i));
-        }
-      });
-    }
-
-    // A live Y vertex with no live edge is dropped here: its removal
-    // cannot cascade (it changes no X degree), so the rounds above
-    // never need to look at the Y side.
-    std::vector<vid_t> y_to_kernel(static_cast<std::size_t>(ny),
-                                   kInvalidVertex);
-    for (vid_t y = 0; y < ny; ++y) {
-      if (!class_alive_[static_cast<std::size_t>(y)]) continue;
-      if (used[static_cast<std::size_t>(y)]) {
-        y_to_kernel[static_cast<std::size_t>(y)] =
-            static_cast<vid_t>(out.kernel_y_to_rep.size());
-        out.kernel_y_to_rep.push_back(y);
-      } else {
-        ++stats_.isolated_y;
-      }
-    }
-    const auto kny = static_cast<vid_t>(out.kernel_y_to_rep.size());
-
-    const eid_t total = exclusive_prefix_sum(counts);
-    std::vector<eid_t> offsets(static_cast<std::size_t>(knx) + 1);
-    for (vid_t i = 0; i < knx; ++i) {
-      offsets[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i)];
-    }
-    offsets[static_cast<std::size_t>(knx)] = total;
-
-    std::vector<vid_t> neighbors(static_cast<std::size_t>(total));
-    const auto fill_row = [&](vid_t i) {
-      const vid_t x = out.kernel_x_to_orig[static_cast<std::size_t>(i)];
-      eid_t cursor = offsets[static_cast<std::size_t>(i)];
-      for (const vid_t y : g_.neighbors_of_x(x)) {
-        if (!class_alive_[static_cast<std::size_t>(y)]) continue;
-        neighbors[static_cast<std::size_t>(cursor++)] =
-            y_to_kernel[static_cast<std::size_t>(y)];
-      }
-    };
-    if (serial_) {
-      for (vid_t i = 0; i < knx; ++i) fill_row(i);
-    } else {
-      parallel_region([&] {
-#pragma omp for schedule(dynamic, 512)
-        for (std::int64_t i = 0; i < knx; ++i) {
-          fill_row(static_cast<vid_t>(i));
-        }
-      });
-    }
-    out.kernel = BipartiteGraph::from_canonical_csr(std::move(offsets),
-                                                    std::move(neighbors), kny);
-  }
-
-  /// d1d2 compaction: merged classes break row sortedness and can
-  /// duplicate kernel edges, so go through from_edges (which merges
-  /// duplicates). Serial; the fold mode is opt-in.
-  void compact_folded(Reduction& out, vid_t knx,
-                      const std::vector<vid_t>& x_to_kernel) {
-    const vid_t ny = g_.num_y();
     std::vector<std::uint8_t> used(static_cast<std::size_t>(ny), 0);
     for (const vid_t x : out.kernel_x_to_orig) {
       for (const vid_t y : g_.neighbors_of_x(x)) {
@@ -480,7 +422,7 @@ class Reducer {
     }
 
     EdgeList list;
-    list.nx = knx;
+    list.nx = static_cast<vid_t>(out.kernel_x_to_orig.size());
     list.ny = static_cast<vid_t>(out.kernel_y_to_rep.size());
     for (const vid_t x : out.kernel_x_to_orig) {
       for (const vid_t y : g_.neighbors_of_x(x)) {

@@ -61,14 +61,20 @@ class FirstTouchBuffer {
     return grew;
   }
 
-  /// Resize and parallel-fill every slot with `value`.
+  /// Resize and fill every slot with `value`. Freshly allocated pages
+  /// get the team's parallel first touch; a reused allocation is only
+  /// cleared (fill()).
   void resize_fill(std::size_t n, const T& value) {
-    resize_uninit(n);
-    fill(value);
+    if (resize_uninit(n)) {
+      first_touch_fill(data_.get(), size_, value);
+    } else {
+      fill(value);
+    }
   }
 
-  /// Parallel first-touch fill of the logical range.
-  void fill(const T& value) { first_touch_fill(data_.get(), size_, value); }
+  /// Fill the logical range of already-placed pages: inline below
+  /// kMinTeamWork slots, on the team above (sized_fill).
+  void fill(const T& value) { sized_fill(data_.get(), size_, value); }
 
   T& operator[](std::size_t i) noexcept { return data_[i]; }
   const T& operator[](std::size_t i) const noexcept { return data_[i]; }
@@ -153,8 +159,8 @@ class AtomicBitmap {
                        std::uint64_t{0});
   }
 
-  /// Zero every word (parallel fill, 1/64th of a byte-array clear).
-  /// Serial-only.
+  /// Zero every word (1/64th of a byte-array clear; inline below
+  /// kMinTeamWork words). Serial-only.
   void clear_all() { words_.fill(std::uint64_t{0}); }
 
   bool test(std::size_t i) const noexcept {

@@ -3,6 +3,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -41,6 +42,20 @@ namespace graftmatch {
 /// process-global behavior; concurrent sessions each probe their own.
 inline std::atomic<int>& last_team_width() noexcept {
   return ambient_session().team_width();
+}
+
+/// Smallest piece of work, in edge mass (or slots, for a fill), that
+/// runs on the thread team. Less work runs inline on the calling
+/// thread: opening a region and joining the team costs more than
+/// splitting a few thousand entries saves (docs/PERFORMANCE.md has the
+/// sweep that chose the value). The engine's kernels, the CSR builders
+/// in graph/ and the workspace clears all decide by this one constant.
+inline constexpr std::int64_t kMinTeamWork = 65536;
+
+/// True when `work` is worth a team: it reaches kMinTeamWork and the
+/// next parallel_region() would be more than one thread wide.
+inline bool team_pays(std::int64_t work) noexcept {
+  return work >= kMinTeamWork && omp_get_max_threads() > 1;
 }
 
 /// Count of parallel_region() calls issued so far under the calling
@@ -250,6 +265,17 @@ void first_touch_fill(T* data, std::size_t count, const T& value) {
 template <typename T>
 void first_touch_fill(std::vector<T>& data, const T& value) {
   first_touch_fill(data.data(), data.size(), value);
+}
+
+/// Fill of memory whose pages are already placed (a clear, not a first
+/// touch): inline below kMinTeamWork slots, on the team above.
+template <typename T>
+void sized_fill(T* data, std::size_t count, const T& value) {
+  if (team_pays(static_cast<std::int64_t>(count))) {
+    first_touch_fill(data, count, value);
+  } else {
+    std::fill_n(data, count, value);
+  }
 }
 
 }  // namespace graftmatch

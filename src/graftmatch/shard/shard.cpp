@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "graftmatch/graph/induced_subgraph.hpp"
+
 namespace graftmatch::shard {
 namespace {
 
@@ -309,72 +311,55 @@ std::vector<ShardBlock> extract_blocks(const BipartiteGraph& g,
                                        const Matching& m0,
                                        const ShardClassification& c) {
   // Component -> block index for the solvable components only.
-  std::vector<std::int64_t> block_of(c.components.size(), -1);
-  std::vector<ShardBlock> blocks;
+  std::vector<std::int32_t> block_of(c.components.size(), -1);
+  std::int32_t blocks_total = 0;
   for (std::size_t i = 0; i < c.components.size(); ++i) {
-    if (!c.components[i].solvable()) continue;
-    block_of[i] = static_cast<std::int64_t>(blocks.size());
-    ShardBlock block;
-    block.component = static_cast<std::int64_t>(i);
-    block.x_ids.reserve(static_cast<std::size_t>(c.components[i].rows));
-    block.y_ids.reserve(static_cast<std::size_t>(c.components[i].cols));
-    blocks.push_back(std::move(block));
+    if (c.components[i].solvable()) block_of[i] = blocks_total++;
   }
-  if (blocks.empty()) return blocks;
+  if (blocks_total == 0) return {};
 
-  // Global -> local id maps. Scanning ids in ascending order keeps each
-  // block's id lists sorted, which in turn keeps the remapped neighbor
-  // lists strictly ascending (the canonical-CSR precondition).
+  // Every block is the subgraph induced by its component's vertices.
+  const auto label = [&](const std::vector<std::int64_t>& component) {
+    std::vector<std::int32_t> part(component.size(), -1);
+    for (std::size_t v = 0; v < component.size(); ++v) {
+      if (component[v] != -1) {
+        part[v] = block_of[static_cast<std::size_t>(component[v])];
+      }
+    }
+    return part;
+  };
+  // No vertex of a solvable component lacks an edge in it (a V column
+  // is adjacent to the V row that reached it; an edgeless V row is a
+  // component of its own with no free column), so every block keeps
+  // its whole component.
+  std::vector<InducedSubgraph> parts = induced_subgraphs(
+      g, label(c.row_component), label(c.col_component), blocks_total);
+
+  std::vector<ShardBlock> blocks(parts.size());
   std::vector<vid_t> y_local(static_cast<std::size_t>(g.num_y()),
                              kInvalidVertex);
-  for (vid_t x = 0; x < g.num_x(); ++x) {
-    const std::int64_t comp = c.row_component[static_cast<std::size_t>(x)];
-    if (comp == -1) continue;
-    const std::int64_t b = block_of[static_cast<std::size_t>(comp)];
-    if (b == -1) continue;
-    blocks[static_cast<std::size_t>(b)].x_ids.push_back(x);
-  }
-  for (vid_t y = 0; y < g.num_y(); ++y) {
-    const std::int64_t comp = c.col_component[static_cast<std::size_t>(y)];
-    if (comp == -1) continue;
-    const std::int64_t b = block_of[static_cast<std::size_t>(comp)];
-    if (b == -1) continue;
-    ShardBlock& block = blocks[static_cast<std::size_t>(b)];
-    y_local[static_cast<std::size_t>(y)] =
-        static_cast<vid_t>(block.y_ids.size());
-    block.y_ids.push_back(y);
-  }
-
-  for (ShardBlock& block : blocks) {
-    const ShardComponent& comp =
-        c.components[static_cast<std::size_t>(block.component)];
-    const std::int64_t id = block.component;
-    std::vector<eid_t> offsets;
-    offsets.reserve(block.x_ids.size() + 1);
-    offsets.push_back(0);
-    std::vector<vid_t> neighbors;
-    neighbors.reserve(static_cast<std::size_t>(comp.edges));
-    for (const vid_t x : block.x_ids) {
-      for (const vid_t y : g.neighbors_of_x(x)) {
-        if (c.col_component[static_cast<std::size_t>(y)] != id) continue;
-        neighbors.push_back(y_local[static_cast<std::size_t>(y)]);
-      }
-      offsets.push_back(static_cast<eid_t>(neighbors.size()));
+  for (std::size_t i = 0, b = 0; i < c.components.size(); ++i) {
+    if (block_of[i] == -1) continue;
+    ShardBlock& block = blocks[b];
+    InducedSubgraph& part = parts[b++];
+    block.component = static_cast<std::int64_t>(i);
+    block.graph = std::move(part.graph);
+    block.x_ids = std::move(part.x_ids);
+    block.y_ids = std::move(part.y_ids);
+    for (std::size_t j = 0; j < block.y_ids.size(); ++j) {
+      y_local[static_cast<std::size_t>(block.y_ids[j])] =
+          static_cast<vid_t>(j);
     }
-    block.graph = BipartiteGraph::from_canonical_csr(
-        std::move(offsets), std::move(neighbors),
-        static_cast<vid_t>(block.y_ids.size()));
 
-    block.initial = Matching(static_cast<vid_t>(block.x_ids.size()),
-                             static_cast<vid_t>(block.y_ids.size()));
-    for (std::size_t i = 0; i < block.x_ids.size(); ++i) {
-      const vid_t y = m0.mate_of_x(block.x_ids[i]);
+    block.initial = Matching(block.graph.num_x(), block.graph.num_y());
+    for (std::size_t k = 0; k < block.x_ids.size(); ++k) {
+      const vid_t y = m0.mate_of_x(block.x_ids[k]);
       if (y == kInvalidVertex) continue;
       // A matched pair never crosses a class, hence never a component:
       // its global mate must live in this block.
       const vid_t j = y_local[static_cast<std::size_t>(y)];
       assert(j != kInvalidVertex);
-      block.initial.match(static_cast<vid_t>(i), j);
+      block.initial.match(static_cast<vid_t>(k), j);
     }
   }
   return blocks;

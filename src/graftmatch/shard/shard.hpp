@@ -122,8 +122,9 @@ struct ShardBlock {
 };
 
 /// Extract every solvable component as a sub-CSR with its slice of M0.
-/// The id maps are ascending, so local neighbor lists inherit the
-/// global sort order and the CSR is adopted canonically (no re-sort).
+/// Each block is the subgraph induced by its component's vertices
+/// (graph/induced_subgraph.hpp): one pass gathers every block's rows
+/// from g's sorted rows, with no sort and no transpose.
 /// Frozen components are not extracted -- their M0 edges stay in the
 /// global matching untouched.
 std::vector<ShardBlock> extract_blocks(const BipartiteGraph& g,

@@ -104,9 +104,11 @@ TEST(RunStatsJson, ReduceBlockIsStrictlyValid) {
   EXPECT_NE(json.find("\"forced_matches\":"), std::string::npos);
   EXPECT_NE(json.find("\"reconstruct_seconds\":"), std::string::npos);
   EXPECT_NE(json.find("\"obs\":{"), std::string::npos);
+  EXPECT_NE(json.find("\"init_seconds\":"), std::string::npos);
 
   // Non-finite timings inside the reduce block must stay valid JSON.
   RunStats degenerate = stats;
+  degenerate.init_seconds = std::numeric_limits<double>::quiet_NaN();
   degenerate.reduce.reduce_seconds = std::numeric_limits<double>::quiet_NaN();
   degenerate.reduce.compact_seconds = std::numeric_limits<double>::infinity();
   const std::string bad = run_stats_json(degenerate);
